@@ -1,34 +1,29 @@
-"""E25 (extension) — store capacity: sharded group-commit vs one big lock.
+"""E25 (extension) — store capacity: group commit vs per-check-in commits.
 
 The paper crawled 1.89 M users and 5.6 M venues through Foursquare's
 production write path; repro's single-lock :class:`DataStore` serialises
 every committed check-in behind one RLock, one sequencer hit, and one
-histogram observation.  E25 measures what the PR's two levers buy at
-8 concurrent writers:
-
-* **N shard locks** (``ShardedDataStore``) — commits for different
-  users stop queueing on one lock;
-* **group commit** (``add_checkins_committed``) — one lock acquisition
-  and one contiguous seq block per shard flush instead of per check-in.
+histogram observation.  E25 measures what group commit
+(``add_checkins_committed``: one lock acquisition and one contiguous seq
+block per batch) buys over per-check-in ``add_checkin_committed`` calls
+on the same store at 8 concurrent writers.
 
 Acceptance bars (asserted):
 
-1. **Throughput**: sustained check-ins/s in ``sharded-batch`` mode is
-   ``>= REPRO_E25_MIN_SPEEDUP`` (default 3.0) times the single-lock
-   per-check-in baseline, same corpus, same 8-writer schedule.
-2. **Seq contract**: every mode ends with ``watermark == total
-   check-ins`` — dense allocation, no burned slots, regardless of
-   store layout or batching.
+1. **Throughput**: the median sustained check-ins/s of ``single-batch``
+   is ``>= REPRO_E25_MIN_SPEEDUP`` (default 3.0) times the median of
+   ``single``, same corpus, same 8-writer schedule.
+2. **Seq contract**: every round ends with ``watermark == total
+   check-ins`` — dense allocation, no burned slots, batched or not.
 
-Reported (not asserted): p50/p99 per-commit-call latency for every
-mode, the per-check-in p99 quotient for batched modes, and a
-full-corpus phase — the store populated to the paper's 1.89 M users /
-5.6 M venues — reporting populate time and p99 commit latency at scale.
-
-Each mode runs ``REPRO_E25_ROUNDS`` times (default 3) and reports the
-best round: on a shared single-core CI machine scheduler noise is
-±20 %, and best-of-N is the standard way to ask "what does this code
-do when the machine lets it".
+Reported (not asserted): per mode, the median and min–max throughput
+over ``REPRO_E25_ROUNDS`` rounds and the median p50/p99 per-commit-call
+latency (plus the per-check-in p99 quotient for the batched mode); and
+a large-corpus phase — the store populated towards the paper's 1.89 M
+users / 5.6 M venues — reporting populate time and p99 commit latency
+at that size.  Peak RSS grows linearly with the corpus (about 0.9 GB
+at 10 % and 2.7 GB at 30 % of the paper's), so the full corpus needs
+about 9 GB; the output states which fraction actually ran.
 
 Environment knobs (CI smoke mode shrinks all of these):
 
@@ -38,17 +33,17 @@ Environment knobs (CI smoke mode shrinks all of these):
 * ``REPRO_E25_CHECKINS_PER_WRITER`` — schedule length (default 6,000).
 * ``REPRO_E25_BATCH`` — group-commit batch size (default 256, the
   measured sweet spot).
-* ``REPRO_E25_SHARDS`` — shard count (default 4).
 * ``REPRO_E25_ROUNDS`` — rounds per mode (default 3).
 * ``REPRO_E25_MIN_SPEEDUP`` — bar 1's ratio (default 3.0).
 * ``REPRO_E25_FULL_USERS`` / ``REPRO_E25_FULL_VENUES`` /
-  ``REPRO_E25_FULL_CHECKINS_PER_WRITER`` — the full-scale phase
+  ``REPRO_E25_FULL_CHECKINS_PER_WRITER`` — the large-corpus phase
   (defaults 1,890,000 / 5,600,000 / 4,000); set the first to 0 to skip
   the phase entirely.
 """
 
 import dataclasses
 import os
+import statistics
 
 from repro.workload.capacity import (
     FULL_SCALE_USERS,
@@ -58,7 +53,6 @@ from repro.workload.capacity import (
     build_corpus,
     build_store,
     run_capacity,
-    speedup,
 )
 
 
@@ -71,7 +65,6 @@ VENUES = _env_int("REPRO_E25_VENUES", 56_000)
 WRITERS = _env_int("REPRO_E25_WRITERS", 8)
 CHECKINS = _env_int("REPRO_E25_CHECKINS_PER_WRITER", 6_000)
 BATCH = _env_int("REPRO_E25_BATCH", 256)
-SHARDS = _env_int("REPRO_E25_SHARDS", 4)
 ROUNDS = _env_int("REPRO_E25_ROUNDS", 3)
 MIN_SPEEDUP = float(os.environ.get("REPRO_E25_MIN_SPEEDUP", "3.0"))
 FULL_USERS = _env_int("REPRO_E25_FULL_USERS", FULL_SCALE_USERS)
@@ -79,13 +72,18 @@ FULL_VENUES = _env_int("REPRO_E25_FULL_VENUES", FULL_SCALE_VENUES)
 FULL_CHECKINS = _env_int("REPRO_E25_FULL_CHECKINS_PER_WRITER", 4_000)
 
 
-def _fmt(result) -> str:
+def _median(results, field: str) -> float:
+    return statistics.median(getattr(result, field) for result in results)
+
+
+def _fmt(mode: str, results) -> str:
+    rates = [result.checkins_per_s for result in results]
     return (
-        f"{result.mode:<13s} {result.store_kind:<16s} "
-        f"{result.checkins_per_s:>9,.0f} ci/s  "
-        f"p50 {result.p50_call_s * 1e6:>7.1f} us  "
-        f"p99 {result.p99_call_s * 1e6:>8.1f} us  "
-        f"p99/ci {result.per_checkin_p99_s * 1e6:>7.1f} us"
+        f"{mode:<13s} {statistics.median(rates):>9,.0f} ci/s "
+        f"[{min(rates):,.0f}–{max(rates):,.0f}]  "
+        f"p50 {_median(results, 'p50_call_s') * 1e6:>7.1f} us  "
+        f"p99 {_median(results, 'p99_call_s') * 1e6:>8.1f} us  "
+        f"p99/ci {_median(results, 'per_checkin_p99_s') * 1e6:>7.1f} us"
     )
 
 
@@ -96,25 +94,25 @@ def test_e25_capacity(report_out, benchmark):
         writers=WRITERS,
         checkins_per_writer=CHECKINS,
         batch_size=BATCH,
-        store_shards=SHARDS,
     )
     corpus = build_corpus(config)
     rows = [
-        "E25 — store capacity: sharded group-commit vs single-lock store",
+        "E25 — store capacity: group commit vs per-check-in commits, "
+        "one single-lock DataStore",
         (
             f"corpus {config.users:,} users / {config.venues:,} venues; "
             f"{config.writers} writers x {config.checkins_per_writer:,} "
             f"check-ins; batch={config.batch_size}; "
-            f"shards={config.store_shards}; best of {ROUNDS} rounds"
+            f"median [min–max] of {ROUNDS} rounds"
         ),
         "",
     ]
 
-    # Phase 1: the four-mode comparison, best-of-ROUNDS each ----------
-    best = {}
+    # Phase 1: the two-mode comparison, ROUNDS rounds each -------------
+    runs = {mode: [] for mode in MODES}
     for mode in MODES:
         for round_index in range(ROUNDS):
-            if mode == "sharded-batch" and round_index == 0:
+            if mode == "single-batch" and round_index == 0:
                 # One round under pytest-benchmark for its timing table.
                 result = benchmark.pedantic(
                     lambda: run_capacity(config, mode, corpus=corpus),
@@ -123,51 +121,45 @@ def test_e25_capacity(report_out, benchmark):
                 )
             else:
                 result = run_capacity(config, mode, corpus=corpus)
-            # Bar 2: dense seq allocation survives every layout.
+            # Bar 2: dense seq allocation, batched or not.
             assert result.watermark == result.total_checkins, (
                 f"{mode}: watermark {result.watermark} != "
                 f"{result.total_checkins} committed check-ins"
             )
-            kept = best.get(mode)
-            if kept is None or result.checkins_per_s > kept.checkins_per_s:
-                best[mode] = result
+            runs[mode].append(result)
     for mode in MODES:
-        rows.append(_fmt(best[mode]))
+        rows.append(_fmt(mode, runs[mode]))
 
-    # Bar 1: the headline ratio.
-    ratio = speedup(best)
+    # Bar 1: the headline ratio of medians.
+    median_rate = {
+        mode: _median(runs[mode], "checkins_per_s") for mode in MODES
+    }
+    ratio = median_rate["single-batch"] / median_rate["single"]
     rows.append("")
     rows.append(
-        f"speedup (sharded-batch / single): {ratio:.2f}x "
+        f"speedup (single-batch / single, medians): {ratio:.2f}x "
         f"(bar: >= {MIN_SPEEDUP:.1f}x)"
     )
     assert ratio >= MIN_SPEEDUP, (
-        f"sharded-batch is {ratio:.2f}x the single-lock baseline "
-        f"({best['sharded-batch'].checkins_per_s:,.0f} vs "
-        f"{best['single'].checkins_per_s:,.0f} ci/s); bar is "
+        f"single-batch is {ratio:.2f}x the per-check-in path "
+        f"({median_rate['single-batch']:,.0f} vs "
+        f"{median_rate['single']:,.0f} ci/s medians); bar is "
         f"{MIN_SPEEDUP:.1f}x"
     )
 
-    # Phase 2: p99 commit latency at the paper's corpus scale ---------
+    # Phase 2: p99 commit latency at a large corpus --------------------
     summary = {
         "users": config.users,
         "venues": config.venues,
         "writers": config.writers,
         "batch_size": config.batch_size,
-        "shards": config.store_shards,
         "rounds": ROUNDS,
         "speedup": round(ratio, 2),
         "min_speedup_bar": MIN_SPEEDUP,
-        "single_checkins_per_s": round(best["single"].checkins_per_s),
-        "single_batch_checkins_per_s": round(
-            best["single-batch"].checkins_per_s
-        ),
-        "sharded_checkins_per_s": round(best["sharded"].checkins_per_s),
-        "sharded_batch_checkins_per_s": round(
-            best["sharded-batch"].checkins_per_s
-        ),
-        "sharded_batch_p99_call_us": round(
-            best["sharded-batch"].p99_call_s * 1e6, 1
+        "single_checkins_per_s": round(median_rate["single"]),
+        "single_batch_checkins_per_s": round(median_rate["single-batch"]),
+        "single_batch_p99_call_us": round(
+            _median(runs["single-batch"], "p99_call_s") * 1e6, 1
         ),
     }
     if FULL_USERS > 0:
@@ -178,26 +170,30 @@ def test_e25_capacity(report_out, benchmark):
             checkins_per_writer=FULL_CHECKINS,
         )
         users, venues = build_corpus(full_config)
-        store, populate_seconds = build_store(
-            full_config, "sharded-batch", users, venues
-        )
+        store, populate_seconds = build_store(users, venues)
         del users, venues
         full = run_capacity(
             full_config,
-            "sharded-batch",
+            "single-batch",
             store=store,
             populate_seconds=populate_seconds,
         )
         assert full.watermark == full.total_checkins
+        fraction = full_config.users / FULL_SCALE_USERS
         rows.append("")
         rows.append(
-            f"full-scale phase: {full_config.users:,} users / "
-            f"{full_config.venues:,} venues "
-            f"(populate {full.populate_seconds:.1f}s)"
+            f"large-corpus phase: {full_config.users:,} users / "
+            f"{full_config.venues:,} venues, {fraction:.0%} of the "
+            f"paper's {FULL_SCALE_USERS:,} / {FULL_SCALE_VENUES:,} "
+            f"(populate {full.populate_seconds:.1f}s, one round)"
         )
-        rows.append(_fmt(full))
+        if fraction < 1.0:
+            rows.append(
+                "full paper corpus not run: unverified at 1.89 M / 5.6 M"
+            )
+        rows.append(_fmt("single-batch", [full]))
         rows.append(
-            f"p99 commit latency at paper scale: "
+            f"p99 commit latency at this corpus: "
             f"{full.p99_call_s * 1e3:.2f} ms per {full.batch_size}-batch "
             f"call ({full.per_checkin_p99_s * 1e6:.1f} us per check-in), "
             f"{full.checkins_per_s:,.0f} ci/s sustained"
@@ -206,8 +202,9 @@ def test_e25_capacity(report_out, benchmark):
             {
                 "full_users": full_config.users,
                 "full_venues": full_config.venues,
+                "full_corpus_fraction": round(fraction, 2),
                 "full_populate_seconds": round(full.populate_seconds, 1),
-                "full_sharded_batch_checkins_per_s": round(
+                "full_single_batch_checkins_per_s": round(
                     full.checkins_per_s
                 ),
                 "full_p99_call_ms": round(full.p99_call_s * 1e3, 3),

@@ -81,11 +81,6 @@ class AdversaryConfig:
     honest_checkins_each: int = 6
     #: Ledger reporting bar (the streamed-world parity suites use 100).
     detector_min_total_checkins: int = 100
-    #: >1 backs the service with a
-    #: :class:`~repro.lbsn.sharded.ShardedDataStore` (same API, N locks,
-    #: one global sequencer — docs/SHARDING.md), so fleet-scale runs
-    #: exercise the sharded commit path.
-    store_shards: int = 1
 
 
 @dataclass
@@ -194,9 +189,7 @@ def run_adversary(
     started = time.perf_counter()
 
     # -- World + defense wiring ----------------------------------------
-    service = LbsnService(
-        metrics=metrics, log=log, store_shards=config.store_shards
-    )
+    service = LbsnService(metrics=metrics, log=log)
     bus = EventBus(metrics=metrics, log=log)
     service.event_bus = bus
     ledger = SuspicionLedger(

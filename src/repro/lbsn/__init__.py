@@ -49,11 +49,6 @@ from repro.lbsn.specials import (
     undefended_special_venues,
     venues_with_specials,
 )
-from repro.lbsn.sharded import (
-    DEFAULT_SHARDS,
-    ShardedDataStore,
-    shard_for_key,
-)
 from repro.lbsn.store import DataStore, EventSequencer
 from repro.lbsn.webserver import LbsnWebServer
 
@@ -94,9 +89,6 @@ __all__ = [
     "venues_with_specials",
     "DataStore",
     "EventSequencer",
-    "DEFAULT_SHARDS",
-    "ShardedDataStore",
-    "shard_for_key",
     "LbsnWebServer",
 ]
 

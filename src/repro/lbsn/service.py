@@ -160,24 +160,13 @@ class LbsnService:
         metrics: Optional[MetricsRegistry] = None,
         log: Optional[LogHub] = None,
         faults=None,
-        store_shards: int = 1,
     ) -> None:
         self.clock = clock or SimClock()
         #: Optional :class:`~repro.faults.FaultInjector`.  The service
         #: itself only forwards it to the store (``store.commit`` fires
         #: before any row mutates, so aborted commits are atomic).
         self.faults = faults
-        #: ``store_shards > 1`` swaps the single-lock store for a
-        #: :class:`~repro.lbsn.sharded.ShardedDataStore` — same API and
-        #: seq-allocation contract, N locks (see docs/SHARDING.md).
-        if store_shards > 1:
-            from repro.lbsn.sharded import ShardedDataStore
-
-            self.store = ShardedDataStore(
-                shards=store_shards, metrics=metrics, log=log, faults=faults
-            )
-        else:
-            self.store = DataStore(metrics=metrics, log=log, faults=faults)
+        self.store = DataStore(metrics=metrics, log=log, faults=faults)
         self.cheater_code = cheater_code or CheaterCode()
         self.badges = badge_engine or BadgeEngine()
         self.points = points_policy or PointsPolicy()

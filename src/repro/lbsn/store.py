@@ -28,13 +28,10 @@ BATCH_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0)
 
 
 class EventSequencer:
-    """Global monotonic allocator for stream-event sequence numbers.
+    """Monotonic allocator for the store's stream-event sequence numbers.
 
-    One instance is shared by every shard of a
-    :class:`~repro.lbsn.sharded.ShardedDataStore`, so sequence numbers
-    stay globally unique, dense, and commit-ordered no matter which shard
-    allocated them.  :meth:`allocate_block` hands out a contiguous run in
-    one lock acquisition — the group-commit path's amortisation lever.
+    :meth:`allocate_block` hands out a contiguous run in one lock
+    acquisition — the group-commit path's amortisation lever.
 
     The contract the conformance harness checks: every allocated number
     is used exactly once (allocation happens *after* fault checks and
@@ -87,7 +84,6 @@ class DataStore:
         metrics: Optional[MetricsRegistry] = None,
         log: Optional[LogHub] = None,
         faults: Optional[FaultInjector] = None,
-        sequencer: Optional[EventSequencer] = None,
     ) -> None:
         self._lock = threading.RLock()
         self._metrics = metrics
@@ -148,16 +144,8 @@ class DataStore:
         self.venue_ids = SequentialIdAllocator()
         self.checkin_ids = SequentialIdAllocator()
         #: Monotonic commit-order sequencer for stream events.  Allocated
-        #: under the store lock so event sequence == commit sequence; a
-        #: :class:`~repro.lbsn.sharded.ShardedDataStore` injects one
-        #: shared :class:`EventSequencer` into every shard so the order
-        #: stays global.
-        self._sequencer = sequencer if sequencer is not None else EventSequencer()
-
-    @property
-    def sequencer(self) -> EventSequencer:
-        """The (possibly shared) commit-order sequencer."""
-        return self._sequencer
+        #: under the store lock so event sequence == commit sequence.
+        self._sequencer = EventSequencer()
 
     @contextmanager
     def locked(self) -> Iterator[None]:
@@ -269,21 +257,6 @@ class DataStore:
             hits = self._venue_grid.query_radius(point, radius_m)
             return [self._venues[venue_id] for venue_id, _, _ in hits]
 
-    def venues_near_with_distance(
-        self, point: GeoPoint, radius_m: float
-    ) -> List[Tuple[Venue, float]]:
-        """Like :meth:`venues_near` but keeping each hit's distance (m).
-
-        A :class:`~repro.lbsn.sharded.ShardedDataStore` needs distances
-        to merge per-shard result lists into one nearest-first order.
-        """
-        with self._lock:
-            hits = self._venue_grid.query_radius(point, radius_m)
-            return [
-                (self._venues[venue_id], distance)
-                for venue_id, _, distance in hits
-            ]
-
     def nearest_venue(
         self, point: GeoPoint, max_radius_m: float = 50_000.0
     ) -> Optional[Venue]:
@@ -291,14 +264,6 @@ class DataStore:
         with self._lock:
             hit = self._venue_grid.nearest(point, max_radius_m=max_radius_m)
             return None if hit is None else self._venues[hit[0]]
-
-    def nearest_venue_with_distance(
-        self, point: GeoPoint, max_radius_m: float = 50_000.0
-    ) -> Optional[Tuple[Venue, float]]:
-        """Like :meth:`nearest_venue` but keeping the distance (m)."""
-        with self._lock:
-            hit = self._venue_grid.nearest(point, max_radius_m=max_radius_m)
-            return None if hit is None else (self._venues[hit[0]], hit[2])
 
     # Check-ins ----------------------------------------------------------
 
@@ -321,41 +286,6 @@ class DataStore:
                 checkin
             )
             return checkin
-
-    def insert_checkin_rows(self, checkins: Sequence[CheckIn]) -> None:
-        """Insert row-table + per-user-index entries, one lock hold.
-
-        The per-*venue* index is deliberately **not** touched: this is the
-        sharding seam.  A :class:`~repro.lbsn.sharded.ShardedDataStore`
-        keys rows by user id but venue order by venue id, so the two
-        halves of a commit may land on different shards — the facade
-        routes the venue half through :meth:`index_checkins_at_venue`.
-        Single-store callers wanting both in one step keep using
-        :meth:`add_checkin` / :meth:`add_checkin_committed`.
-        """
-        with self._lock:
-            ids = self._validate_new_rows_locked(checkins)
-            self._insert_rows_fast_locked(checkins, ids)
-
-    def commit_checkin_rows(self, checkins: Sequence[CheckIn]) -> int:
-        """Insert rows AND allocate a contiguous seq block atomically.
-
-        Returns the first sequence number of the block; ``checkins[i]``
-        owns ``start + i``.  One lock hold covers validation, every row
-        insert, and the block allocation, so per-user commit order equals
-        seq order — the contract :meth:`add_checkin_committed` documents,
-        batched.  Like :meth:`insert_checkin_rows` this leaves the venue
-        index to the caller.
-        """
-        lock_hold = self._lock_hold
-        with self._lock:
-            started = time.perf_counter() if lock_hold is not None else 0.0
-            ids = self._validate_new_rows_locked(checkins)
-            self._insert_rows_fast_locked(checkins, ids)
-            start = self._sequencer.allocate_block(len(checkins))
-            if lock_hold is not None:
-                lock_hold.observe(time.perf_counter() - started)
-        return start
 
     def _insert_rows_fast_locked(
         self,
@@ -405,25 +335,6 @@ class DataStore:
                 raise ServiceError(f"duplicate checkin id {checkin_id}")
             seen.add(checkin_id)
         raise ServiceError("duplicate checkin id in batch")
-
-    def index_checkins_at_venue(self, checkins: Sequence[CheckIn]) -> None:
-        """Append check-ins to the per-venue order index, one lock hold.
-
-        The other half of the sharding seam (see
-        :meth:`insert_checkin_rows`).  Appends happen in iteration order
-        under this store's lock, so per-venue order is venue-commit
-        order; under cross-shard races it may diverge from global seq
-        order, which the mayorship logic (day-bucketed counts) tolerates.
-        """
-        with self._lock:
-            by_venue = self._checkins_by_venue
-            by_venue_get = by_venue.get
-            for checkin in checkins:
-                venue_id = checkin.venue_id
-                rows = by_venue_get(venue_id)
-                if rows is None:
-                    rows = by_venue[venue_id] = []
-                rows.append(checkin)
 
     def allocate_event_seq(self) -> int:
         """Allocate one stream-event sequence number under the store lock.

@@ -102,14 +102,10 @@ from repro.workload.capacity import (
     CapacityConfig,
     CapacityResult,
     run_capacity,
-    run_capacity_suite,
-    speedup,
 )
 
 __all__ += [
     "CapacityConfig",
     "CapacityResult",
     "run_capacity",
-    "run_capacity_suite",
-    "speedup",
 ]

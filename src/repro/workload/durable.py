@@ -80,13 +80,6 @@ class DurableConfig:
     #: seed picks *which* event mid-storm becomes the crash.
     kill_probability: float = 0.02
 
-    #: >1 backs the service with a
-    #: :class:`~repro.lbsn.sharded.ShardedDataStore`.  The shared
-    #: sequencer keeps the event stream identical, so WAL records and
-    #: every replay digest must match the single-lock run byte for byte
-    #: (trace ids aside) — the sharded replay regression proves it.
-    store_shards: int = 1
-
 
 @dataclass
 class DurableReport:
@@ -219,9 +212,7 @@ def run_durable_storm(
 
     from repro.lbsn.service import LbsnService
 
-    service = LbsnService(
-        metrics=metrics, log=log, store_shards=config.store_shards
-    )
+    service = LbsnService(metrics=metrics, log=log)
     injector = FaultInjector(
         kill_plan(
             config.fault_seed,
@@ -317,9 +308,7 @@ def write_durable_tree(
 
     from repro.lbsn.service import LbsnService
 
-    service = LbsnService(
-        metrics=metrics, log=log, store_shards=config.store_shards
-    )
+    service = LbsnService(metrics=metrics, log=log)
     bus = EventBus(metrics=metrics, log=log)
     service.event_bus = bus
     pipeline = _build_pipeline(

@@ -1,15 +1,12 @@
 """Property tests (hypothesis) for the seq-allocation contract.
 
 Arbitrary interleavings of single commits, batched commits, and bare
-sequence-slot allocations, across shard counts N ∈ {1, 2, 4, 7}, must
-always yield:
+sequence-slot allocations must always yield:
 
 * a dense, duplicate-free global seq order (the union of everything the
   store handed out is exactly ``range(total)``),
 * per-user seq subsequences in program order,
-* stable shard routing — the same key maps to the same shard on every
-  instance with the same N, and rows actually live where the router
-  says they live.
+* one check-in row per commit.
 """
 
 from hypothesis import given, settings
@@ -17,15 +14,11 @@ from hypothesis import strategies as st
 
 from repro.geo.coordinates import GeoPoint
 from repro.lbsn.models import CheckIn, CheckInStatus, User, Venue, VenueCategory
-from repro.lbsn.sharded import ShardedDataStore, shard_for_key
-from repro.lbsn.store import EventSequencer
-
-SHARD_COUNTS = [1, 2, 4, 7]
+from repro.lbsn.store import DataStore, EventSequencer
 
 USERS = 9
 VENUES = 11
 
-shard_counts = st.sampled_from(SHARD_COUNTS)
 user_keys = st.integers(min_value=1, max_value=USERS)
 venue_keys = st.integers(min_value=1, max_value=VENUES)
 
@@ -43,8 +36,8 @@ op_lists = st.lists(ops, min_size=1, max_size=30)
 LOCATION = GeoPoint(35.0844, -106.6504)
 
 
-def _build_store(shards: int) -> ShardedDataStore:
-    store = ShardedDataStore(shards=shards)
+def _build_store() -> DataStore:
+    store = DataStore()
     for user_id in range(1, USERS + 1):
         store.add_user(User(user_id=user_id, display_name=f"u{user_id}"))
     for venue_id in range(1, VENUES + 1):
@@ -59,7 +52,7 @@ def _build_store(shards: int) -> ShardedDataStore:
     return store
 
 
-def _apply(store: ShardedDataStore, op_list) -> list:
+def _apply(store: DataStore, op_list) -> list:
     """Run the ops; returns ``(kind, user_id, seq)`` allocation records."""
     allocations = []
     next_checkin_id = 1
@@ -94,24 +87,20 @@ def _apply(store: ShardedDataStore, op_list) -> list:
 
 
 class TestSeqAllocationContract:
-    @given(shards=shard_counts, op_list=op_lists)
+    @given(op_list=op_lists)
     @settings(max_examples=60, deadline=None)
-    def test_global_seq_order_dense_and_duplicate_free(
-        self, shards, op_list
-    ):
-        store = _build_store(shards)
+    def test_global_seq_order_dense_and_duplicate_free(self, op_list):
+        store = _build_store()
         base = store.event_seq_watermark()
         allocations = _apply(store, op_list)
         seqs = sorted(seq for _, _, seq in allocations)
         assert seqs == list(range(base, base + len(seqs)))
         assert store.event_seq_watermark() == base + len(seqs)
 
-    @given(shards=shard_counts, op_list=op_lists)
+    @given(op_list=op_lists)
     @settings(max_examples=60, deadline=None)
-    def test_per_user_seq_subsequence_in_program_order(
-        self, shards, op_list
-    ):
-        store = _build_store(shards)
+    def test_per_user_seq_subsequence_in_program_order(self, op_list):
+        store = _build_store()
         allocations = _apply(store, op_list)
         per_user = {}
         for kind, user_id, seq in allocations:
@@ -124,59 +113,16 @@ class TestSeqAllocationContract:
             listed = store.checkins_of_user(user_id)
             assert len(listed) == len(seqs)
 
-    @given(shards=shard_counts, op_list=op_lists)
+    @given(op_list=op_lists)
     @settings(max_examples=40, deadline=None)
-    def test_commit_count_matches_rows(self, shards, op_list):
-        store = _build_store(shards)
+    def test_commit_count_matches_rows(self, op_list):
+        store = _build_store()
         allocations = _apply(store, op_list)
         commits = [a for a in allocations if a[0] == "commit"]
         assert store.checkin_count() == len(commits)
 
 
-class TestRoutingStability:
-    @given(shards=shard_counts, key=st.integers(min_value=0, max_value=10**9))
-    @settings(max_examples=120, deadline=None)
-    def test_same_key_same_shard_across_instances(self, shards, key):
-        first = ShardedDataStore(shards=shards)
-        second = ShardedDataStore(shards=shards)
-        assert first.shard_index(key) == second.shard_index(key)
-        assert first.shard_index(key) == shard_for_key(key, shards)
-        assert 0 <= first.shard_index(key) < shards
-
-    @given(shards=shard_counts)
-    @settings(max_examples=20, deadline=None)
-    def test_rows_live_on_routed_shards(self, shards):
-        store = _build_store(shards)
-        for user_id in range(1, USERS + 1):
-            owner = store.shards[shard_for_key(user_id, shards)]
-            assert owner.get_user(user_id) is not None
-            for other_index, other in enumerate(store.shards):
-                if other_index != shard_for_key(user_id, shards):
-                    assert other.get_user(user_id) is None
-        for venue_id in range(1, VENUES + 1):
-            owner = store.shards[shard_for_key(venue_id, shards)]
-            assert owner.get_venue(venue_id) is not None
-
-
-class TestSharedSequencer:
-    def test_explicit_sequencer_shared_across_facades(self):
-        """Two facades over one sequencer interleave without collisions."""
-        sequencer = EventSequencer()
-        first = _build_store(2)
-        second = ShardedDataStore(shards=4, sequencer=sequencer)
-        # The facade built with its own sequencer starts at zero...
-        assert first.event_seq_watermark() == 0
-        # ...while explicit injection threads one counter through both.
-        third = ShardedDataStore(shards=2, sequencer=sequencer)
-        seqs = [
-            second.allocate_event_seq(),
-            third.allocate_event_seq(),
-            second.allocate_event_seq(),
-        ]
-        assert seqs == [0, 1, 2]
-        assert second.event_seq_watermark() == 3
-        assert third.event_seq_watermark() == 3
-
+class TestEventSequencer:
     def test_allocate_block_contiguous(self):
         sequencer = EventSequencer()
         start = sequencer.allocate_block(5)

@@ -43,7 +43,7 @@ class TestExperimentIndexIntegrity:
 
     def test_experiments_covers_all_experiment_ids(self):
         experiments = (REPO / "EXPERIMENTS.md").read_text()
-        for exp_id in range(1, 18):
+        for exp_id in range(1, 27):
             assert f"## E{exp_id} " in experiments, f"E{exp_id}"
 
 

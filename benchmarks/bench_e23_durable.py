@@ -47,6 +47,7 @@ from repro.workload.durable import (
     run_durable_storm,
     write_durable_tree,
 )
+from repro.workload.scenario import SCENARIO_MIN_TOTAL_CHECKINS
 
 SCALE = float(os.environ.get("REPRO_E23_SCALE", "0.0005"))
 CHECKINS = int(os.environ.get("REPRO_E23_CHECKINS", "300"))
@@ -57,7 +58,6 @@ CURVE = [
 
 SEED = 42
 FAULT_SEED = 1337
-DETECTOR_BAR = 100
 
 
 def _config(**overrides) -> DurableConfig:
@@ -66,7 +66,6 @@ def _config(**overrides) -> DurableConfig:
         seed=SEED,
         fault_seed=FAULT_SEED,
         checkins=CHECKINS,
-        detector_min_total_checkins=DETECTOR_BAR,
     )
     base.update(overrides)
     return DurableConfig(**base)
@@ -74,7 +73,7 @@ def _config(**overrides) -> DurableConfig:
 
 def _timed_recovery(tree, partitions):
     """Recover every shard of a tree; returns (seconds, events, digests)."""
-    config = DetectorConfig(min_total_checkins=DETECTOR_BAR)
+    config = DetectorConfig(min_total_checkins=SCENARIO_MIN_TOTAL_CHECKINS)
     started = time.perf_counter()
     replayed = 0
     digests = []

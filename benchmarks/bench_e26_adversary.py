@@ -128,10 +128,10 @@ def test_e26_adversary(report_out, benchmark):
         size_cells.append((ring_size, report))
 
     # Bar 5: the headline cell replays to identical digests.
-    replay = run_adversary(_config())
-    catch_identical = replay.catch_digest == headline.catch_digest
-    fp_identical = replay.fp_digest == headline.fp_digest
-    assert catch_identical and fp_identical
+    replay_identical = (
+        run_adversary(_config()).replay_checks() == headline.replay_checks()
+    )
+    assert replay_identical
 
     no_defense = density_cells[0][1]
     rows = [
@@ -161,7 +161,7 @@ def test_e26_adversary(report_out, benchmark):
     rows.extend(
         [
             f"determinism: replay catch digest identical="
-            f"{catch_identical}, fp digest identical={fp_identical}",
+            f"{replay_identical}, fp digest identical={replay_identical}",
             f"catch digest: {headline.catch_digest[:16]}…",
             f"fp digest: {headline.fp_digest[:16]}…",
             f"headline wall time (simulated clocks only): "
@@ -199,7 +199,7 @@ def test_e26_adversary(report_out, benchmark):
             },
             "corroboration_defeated": True,
             "per_user_rule_detections": 0,
-            "replay_digest_identical": catch_identical and fp_identical,
+            "replay_digest_identical": replay_identical,
             "catch_digest": headline.catch_digest,
             "fp_digest": headline.fp_digest,
             "headline_wall_seconds": round(headline.wall_seconds, 3),

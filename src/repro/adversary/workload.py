@@ -35,7 +35,7 @@ import hashlib
 import random
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.adversary.ring import RingConfig, RingCoordinator, RingReport
 from repro.analysis.detection import DetectorConfig
@@ -57,7 +57,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.simnet.clock import SECONDS_PER_DAY
 from repro.stream.bus import EventBus
 from repro.stream.ledger import SuspicionLedger
-from repro.workload.scenario import build_world
+from repro.workload.scenario import SCENARIO_MIN_TOTAL_CHECKINS, build_world
 
 
 @dataclass
@@ -79,8 +79,6 @@ class AdversaryConfig:
     #: Honest control group: accounts driven, check-ins each.
     honest_accounts: int = 50
     honest_checkins_each: int = 6
-    #: Ledger reporting bar (the streamed-world parity suites use 100).
-    detector_min_total_checkins: int = 100
 
 
 @dataclass
@@ -131,6 +129,10 @@ class AdversaryReport:
         if not self.honest_accounts:
             return 0.0
         return len(self.flagged_honest_accounts) / len(self.honest_accounts)
+
+    def replay_checks(self) -> Dict[str, str]:
+        """What a same-config replay must reproduce, keyed by label."""
+        return {"catch digest": self.catch_digest, "fp digest": self.fp_digest}
 
 
 class TrustingVerifier:
@@ -193,9 +195,7 @@ def run_adversary(
     bus = EventBus(metrics=metrics, log=log)
     service.event_bus = bus
     ledger = SuspicionLedger(
-        config=DetectorConfig(
-            min_total_checkins=config.detector_min_total_checkins
-        ),
+        config=DetectorConfig(min_total_checkins=SCENARIO_MIN_TOTAL_CHECKINS),
         metrics=metrics,
         log=log,
     ).attach(bus)

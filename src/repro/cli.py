@@ -1008,23 +1008,23 @@ def cmd_chaos(args) -> int:
     print(f"  committed state digest: {report.committed_state_digest}")
     ok = report.commit_exhausted == 0 and not report.crawl_aborted
     if args.verify:
-        replay = run_chaos(config)
-        seq_ok = (
-            replay.fault_sequence_digest == report.fault_sequence_digest
-        )
-        state_ok = (
-            replay.committed_state_digest == report.committed_state_digest
-        )
-        suspects_ok = replay.ledger_suspects == report.ledger_suspects
-        print(
-            f"  replay: fault sequence identical={seq_ok}, "
-            f"end state identical={state_ok}, "
-            f"ledger suspects identical={suspects_ok}"
-        )
-        if not (seq_ok and state_ok and suspects_ok):
-            print("  VERIFY FAILED: replay digests diverged", file=sys.stderr)
-        ok = ok and seq_ok and state_ok and suspects_ok
+        ok = _verify_by_replay(report, run_chaos(config)) and ok
     return 0 if ok else 1
+
+
+def _verify_by_replay(report, replay) -> bool:
+    """Compare a same-seed replay's ``replay_checks()``; print the verdict."""
+    expected = report.replay_checks()
+    observed = replay.replay_checks()
+    identical = {label: observed[label] == expected[label] for label in expected}
+    print(
+        "  replay: "
+        + ", ".join(f"{label} identical={same}" for label, same in identical.items())
+    )
+    if not all(identical.values()):
+        print("  VERIFY FAILED: replay digests diverged", file=sys.stderr)
+        return False
+    return True
 
 
 def cmd_snapshot(args) -> int:
@@ -1108,16 +1108,7 @@ def cmd_adversary(args) -> int:
     print(f"  fp digest: {report.fp_digest}")
     ok = True
     if args.verify:
-        replay = run_adversary(config)
-        catch_ok = replay.catch_digest == report.catch_digest
-        fp_ok = replay.fp_digest == report.fp_digest
-        print(
-            f"  replay: catch digest identical={catch_ok}, "
-            f"fp digest identical={fp_ok}"
-        )
-        if not (catch_ok and fp_ok):
-            print("  VERIFY FAILED: replay digests diverged", file=sys.stderr)
-        ok = catch_ok and fp_ok
+        ok = _verify_by_replay(report, run_adversary(config))
     return 0 if ok else 1
 
 

@@ -186,11 +186,6 @@ class CrawlDatabase:
         with self._lock:
             return list(self._recent)
 
-    def recent_visitor_list(self, venue_id: int) -> List[int]:
-        """The venue's ordered recent-visitor list, newest first."""
-        with self._lock:
-            return list(self._recent_lists.get(venue_id, []))
-
     def recent_visitor_lists(self) -> Dict[int, List[int]]:
         """Snapshot of all ordered recent-visitor lists."""
         with self._lock:

@@ -28,13 +28,6 @@ class CrawlSnapshot:
     taken_at: float
     database: CrawlDatabase
 
-    def visitor_sets(self) -> Dict[int, Set[int]]:
-        """venue_id -> set of user_ids on its recent-visitor list."""
-        sets: Dict[int, Set[int]] = {}
-        for row in self.database.recent_checkins():
-            sets.setdefault(row.venue_id, set()).add(row.user_id)
-        return sets
-
     def visitor_lists(self) -> Dict[int, List[int]]:
         """venue_id -> ordered recent-visitor list, newest first."""
         return self.database.recent_visitor_lists()

@@ -441,13 +441,6 @@ class WalReader:
         """How many segment files the directory currently holds."""
         return len(_segment_indices(self.directory))
 
-    def total_bytes(self) -> int:
-        """Total on-disk size of every segment."""
-        return sum(
-            (self.directory / _segment_name(index)).stat().st_size
-            for index in _segment_indices(self.directory)
-        )
-
 
 __all__ = [
     "MAX_RECORD_BYTES",

@@ -26,6 +26,7 @@ workers and brings them back.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 from pathlib import Path
@@ -249,7 +250,7 @@ class DetectorWorker:
         span = (
             self.tracer.span("durable.replay")
             if self.tracer is not None
-            else _NullSpan()
+            else contextlib.nullcontext()
         )
         with span:
             snapshot = self.snapshots.latest()
@@ -299,14 +300,6 @@ class DetectorWorker:
     def close(self) -> None:
         """Flush and close the WAL segment."""
         self.wal.close()
-
-
-class _NullSpan:
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
 
 
 class PartitionedDetectorPipeline:

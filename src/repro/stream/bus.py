@@ -405,14 +405,6 @@ class EventBus:
             sub.offer(event)
         return event
 
-    def publish_many(self, events) -> int:
-        """Publish an iterable of events; returns how many were published."""
-        count = 0
-        for event in events:
-            self.publish(event)
-            count += 1
-        return count
-
     @property
     def published(self) -> int:
         """Total events published since construction."""

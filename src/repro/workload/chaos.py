@@ -52,10 +52,16 @@ from repro.lbsn.service import LbsnService
 from repro.obs.context import TraceContext, use_trace
 from repro.obs.log import LogHub
 from repro.obs.metrics import MetricsRegistry
-from repro.simnet.clock import SECONDS_PER_DAY
 from repro.stream.bus import EventBus
 from repro.stream.ledger import SuspicionLedger
-from repro.workload.scenario import WebStack, World, build_web_stack, build_world
+from repro.workload.scenario import (
+    SCENARIO_MIN_TOTAL_CHECKINS,
+    WebStack,
+    World,
+    build_web_stack,
+    build_world,
+    storm_schedule,
+)
 
 #: Name of the sacrificial bus subscriber the standard storm targets.
 VICTIM_SUBSCRIBER = "chaos-victim"
@@ -99,9 +105,6 @@ class ChaosConfig:
     checkins: int = 300
     checkin_gap_s: float = 60.0
     commit_retry_attempts: int = 8
-
-    #: Ledger reporting bar (the streamed-world parity suite uses 100).
-    detector_min_total_checkins: int = 100
 
     # Phase D: web probe.
     web_probes: int = 200
@@ -155,6 +158,14 @@ class ChaosReport:
         if self.checkins_attempted <= 0:
             return 1.0
         return self.checkins_returned / self.checkins_attempted
+
+    def replay_checks(self) -> Dict[str, object]:
+        """What a same-seed replay must reproduce, keyed by label."""
+        return {
+            "fault sequence": self.fault_sequence_digest,
+            "end state": self.committed_state_digest,
+            "ledger suspects": self.ledger_suspects,
+        }
 
 
 def committed_state_digest(
@@ -230,9 +241,7 @@ def run_chaos(
     bus = EventBus(metrics=metrics, log=log, faults=injector)
     service.event_bus = bus
     ledger = SuspicionLedger(
-        config=DetectorConfig(
-            min_total_checkins=config.detector_min_total_checkins
-        ),
+        config=DetectorConfig(min_total_checkins=SCENARIO_MIN_TOTAL_CHECKINS),
         metrics=metrics,
         log=log,
     ).attach(bus)
@@ -331,33 +340,19 @@ def _run_checkin_phase(
     log: Optional[LogHub],
 ) -> None:
     service = world.service
-    store = service.store
-    users = sorted(user.user_id for user in store.iter_users())
-    venues = sorted(venue.venue_id for venue in store.iter_venues())
-    if not users or not venues:
-        return
     policy = BackoffPolicy(
         max_attempts=config.commit_retry_attempts,
         initial_delay_s=0.01,
         jitter_fraction=0.0,
         max_delay_s=0.5,
     )
-    # Pinned absolutely (NOT clock.now()): crawl-phase backoff pacing
-    # advances the clock by a fault-dependent amount, and committed-row
-    # parity between faulted and clean runs requires identical
-    # timestamps.  One full day past the horizon clears any pacing.
-    base_ts = world.horizon_s + SECONDS_PER_DAY
-    for index in range(config.checkins):
-        user_id = users[index % len(users)]
-        # Stride venues so consecutive attempts by the same user land at
-        # different venues (the rapid-fire rule would refuse repeats).
-        venue_id = venues[(index * 7) % len(venues)]
-        venue = store.require_venue(venue_id)
-        timestamp = base_ts + index * config.checkin_gap_s
+    for user_id, venue, timestamp in storm_schedule(
+        world, config.checkins, config.checkin_gap_s
+    ):
         report.checkins_attempted += 1
         trace = TraceContext.mint()
 
-        def attempt(uid=user_id, vid=venue_id, loc=venue.location,
+        def attempt(uid=user_id, vid=venue.venue_id, loc=venue.location,
                     ts=timestamp, tr=trace):
             return service.check_in(
                 uid, vid, loc, timestamp=ts, trace=tr

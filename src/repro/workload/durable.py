@@ -46,9 +46,12 @@ from repro.obs.context import TraceContext, use_trace
 from repro.obs.log import LogHub
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Tracer
-from repro.simnet.clock import SECONDS_PER_DAY
 from repro.stream.bus import EventBus
-from repro.workload.scenario import World, build_world
+from repro.workload.scenario import (
+    SCENARIO_MIN_TOTAL_CHECKINS,
+    build_world,
+    storm_schedule,
+)
 
 MANIFEST_NAME = "manifest.json"
 
@@ -65,8 +68,6 @@ class DurableConfig:
     #: Check-in storm length and spacing.
     checkins: int = 300
     checkin_gap_s: float = 60.0
-    #: Ledger reporting bar (streamed-parity suites use 100).
-    detector_min_total_checkins: int = 100
 
     # Durability knobs.
     snapshot_every: int = 0
@@ -143,37 +144,6 @@ def kill_plan(
     )
 
 
-def _drive_checkins(
-    world: World, config: DurableConfig, report: DurableReport
-) -> None:
-    """The deterministic check-in storm (chaos phase B, without retries)."""
-    service = world.service
-    store = service.store
-    users = sorted(user.user_id for user in store.iter_users())
-    venues = sorted(venue.venue_id for venue in store.iter_venues())
-    if not users or not venues:
-        return
-    # Pinned absolutely so committed timestamps are identical run to run.
-    base_ts = world.horizon_s + SECONDS_PER_DAY
-    for index in range(config.checkins):
-        user_id = users[index % len(users)]
-        # Stride venues so the rapid-fire rule never refuses a repeat.
-        venue_id = venues[(index * 7) % len(venues)]
-        venue = store.require_venue(venue_id)
-        timestamp = base_ts + index * config.checkin_gap_s
-        report.checkins_attempted += 1
-        trace = TraceContext.mint()
-        with use_trace(trace):
-            service.check_in(
-                user_id,
-                venue_id,
-                venue.location,
-                timestamp=timestamp,
-                trace=trace,
-            )
-        report.checkins_returned += 1
-
-
 def _build_pipeline(
     config: DurableConfig,
     base_dir,
@@ -185,9 +155,7 @@ def _build_pipeline(
     return PartitionedDetectorPipeline(
         config.partitions,
         base_dir,
-        config=DetectorConfig(
-            min_total_checkins=config.detector_min_total_checkins
-        ),
+        config=DetectorConfig(min_total_checkins=SCENARIO_MIN_TOTAL_CHECKINS),
         snapshot_every=config.snapshot_every,
         segment_max_bytes=config.segment_max_bytes,
         fsync_every=config.fsync_every,
@@ -242,7 +210,18 @@ def run_durable_storm(
     world = build_world(scale=config.scale, seed=config.seed, service=service)
     injector.arm()
 
-    _drive_checkins(world, config, report)
+    # The deterministic check-in storm (chaos phase B, without retries).
+    for user_id, venue, timestamp in storm_schedule(
+        world, config.checkins, config.checkin_gap_s
+    ):
+        report.checkins_attempted += 1
+        trace = TraceContext.mint()
+        with use_trace(trace):
+            service.check_in(
+                user_id, venue.venue_id, venue.location,
+                timestamp=timestamp, trace=trace,
+            )
+        report.checkins_returned += 1
 
     report.events_published = bus.published
     report.watermark = service.event_watermark()
@@ -281,9 +260,7 @@ def run_durable_storm(
     report.cold_digests = cold_replay_digests(
         base / "victim",
         config.partitions,
-        config=DetectorConfig(
-            min_total_checkins=config.detector_min_total_checkins
-        ),
+        config=DetectorConfig(min_total_checkins=SCENARIO_MIN_TOTAL_CHECKINS),
         metrics=metrics,
         tracer=tracer,
     )
@@ -315,7 +292,17 @@ def write_durable_tree(
         config, out, metrics=metrics, log=log, tracer=tracer
     ).attach(bus)
     world = build_world(scale=config.scale, seed=config.seed, service=service)
-    _drive_checkins(world, config, report)
+    for user_id, venue, timestamp in storm_schedule(
+        world, config.checkins, config.checkin_gap_s
+    ):
+        report.checkins_attempted += 1
+        trace = TraceContext.mint()
+        with use_trace(trace):
+            service.check_in(
+                user_id, venue.venue_id, venue.location,
+                timestamp=timestamp, trace=trace,
+            )
+        report.checkins_returned += 1
 
     report.events_published = bus.published
     report.watermark = service.event_watermark()
@@ -339,7 +326,7 @@ def write_durable_tree(
         "seed": config.seed,
         "partitions": config.partitions,
         "checkins": config.checkins,
-        "detector_min_total_checkins": config.detector_min_total_checkins,
+        "detector_min_total_checkins": SCENARIO_MIN_TOTAL_CHECKINS,
         "watermark": report.watermark,
         "digests": report.victim_digests,
         "combined_digest": report.victim_combined,
@@ -368,18 +355,22 @@ def replay_durable_tree(
     manifest_path = tree / MANIFEST_NAME
     if manifest_path.is_file():
         manifest = json.loads(manifest_path.read_text())
-    config = None
+    # Every writer scores with the scenario bar; an older manifest may
+    # omit it and a tree may have none, so fall back to the same bar.
+    bar = SCENARIO_MIN_TOTAL_CHECKINS
     if manifest is not None:
         partitions = manifest["partitions"]
-        bar = manifest.get("detector_min_total_checkins")
-        if bar is not None:
-            config = DetectorConfig(min_total_checkins=bar)
+        bar = manifest.get("detector_min_total_checkins", bar)
     else:
         partitions = len(
             [p for p in tree.iterdir() if p.name.startswith("partition-")]
         )
     digests = cold_replay_digests(
-        tree, partitions, config=config, metrics=metrics, tracer=tracer
+        tree,
+        partitions,
+        config=DetectorConfig(min_total_checkins=bar),
+        metrics=metrics,
+        tracer=tracer,
     )
     combined = PartitionedDetectorPipeline.combine(digests)
     result = {

@@ -7,15 +7,20 @@ the whole corpus replayed through the real check-in pipeline.
 
 ``build_web_stack`` then exposes that world over the simulated HTTP
 transport — the crawler's target.
+
+``storm_schedule`` and ``SCENARIO_MIN_TOTAL_CHECKINS`` are what the seeded
+chaos, durable and adversary workloads share on top of a built world: the
+post-horizon check-in storm and the ledger's reporting bar.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional, Tuple
 
 from repro.errors import ReproError
 from repro.lbsn.api import LbsnApiServer
+from repro.lbsn.models import Venue
 from repro.lbsn.service import LbsnService
 from repro.lbsn.webserver import LbsnWebServer
 from repro.simnet.clock import SECONDS_PER_DAY
@@ -43,6 +48,10 @@ from repro.workload.venues import (
 
 #: Venues on real Foursquare at crawl time; ``scale`` multiplies it.
 FULL_SCALE_VENUES = 5_600_000
+
+#: Ledger reporting bar of the seeded chaos, durable and adversary
+#: workloads and of the streamed-world parity suites.
+SCENARIO_MIN_TOTAL_CHECKINS = 100
 
 
 @dataclass
@@ -192,3 +201,27 @@ def build_web_stack(
         webserver=webserver,
         apiserver=apiserver,
     )
+
+
+def storm_schedule(
+    world: World, checkins: int, gap_s: float
+) -> Iterator[Tuple[int, Venue, float]]:
+    """The seeded post-horizon check-in storm: ``(user_id, venue, ts)``.
+
+    Users are taken round-robin in ID order; venues stride by 7 in ID
+    order so one user's consecutive attempts land at different venues
+    (the rapid-fire rule would refuse repeats).  Timestamps are pinned
+    absolutely, one day past the horizon, never ``clock.now()``: retry
+    and crawl backoff advance the clock by fault-dependent amounts, and
+    committed rows must not move with them.  Yields nothing when the
+    world has no users or no venues.
+    """
+    store = world.service.store
+    users = sorted(user.user_id for user in store.iter_users())
+    venues = sorted(venue.venue_id for venue in store.iter_venues())
+    if not users or not venues:
+        return
+    base_ts = world.horizon_s + SECONDS_PER_DAY
+    for index in range(checkins):
+        venue = store.require_venue(venues[(index * 7) % len(venues)])
+        yield users[index % len(users)], venue, base_ts + index * gap_s

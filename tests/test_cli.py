@@ -177,9 +177,10 @@ class TestTopCommand:
 
 
 def _fake_chaos_report(state_digest, sequence_digest="seq-1", suspects=(1,)):
-    from types import SimpleNamespace
+    from repro.workload.chaos import ChaosConfig, ChaosReport
 
-    return SimpleNamespace(
+    return ChaosReport(
+        config=ChaosConfig(),
         crawl=None,
         crawl_aborted=False,
         crawler_breaker_opens=0,

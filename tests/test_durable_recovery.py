@@ -12,6 +12,7 @@ The headline claims of repro.durable, as tests:
 """
 
 import json
+import shutil
 
 import pytest
 
@@ -210,6 +211,16 @@ class TestTreeRoundTrip:
         assert result["partitions"] == 2
         assert result["manifest"] is None
         assert result["matches_manifest"] is None
+        assert result["combined_digest"] == report.victim_combined
+
+    def test_bare_wal_tree_replays_with_the_scenario_bar(self, tree, tmp_path):
+        # No manifest and no snapshots: every shard replays into a fresh
+        # ledger, which must score with the bar the writer used.
+        out, report = tree
+        clone = tmp_path / "bare"
+        shutil.copytree(out, clone, ignore=shutil.ignore_patterns("*.json"))
+        result = replay_durable_tree(clone)
+        assert result["manifest"] is None
         assert result["combined_digest"] == report.victim_combined
 
     def test_damaged_tree_fails_the_manifest_check(self, tree, tmp_path):

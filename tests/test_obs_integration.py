@@ -1,12 +1,8 @@
 """End-to-end observability wiring: every instrumented layer exports into
-one shared registry, the webserver serves it, and the documentation
-catalogue stays in lockstep with what the code actually emits."""
+one shared registry and the webserver serves it.  The documentation
+catalogue's parity with the registry is tests/test_docs_parity.py."""
 
-import re
 import threading
-from pathlib import Path
-
-import pytest
 
 from repro.crawler import crawl_full_site
 from repro.crawler.worker import WorkerPool
@@ -24,8 +20,6 @@ from repro.stream import (
     StreamEvent,
     SuspicionLedger,
 )
-
-DOCS = Path(__file__).parent.parent / "docs"
 
 ABQ = GeoPoint(35.0844, -106.6504)
 FAR_AWAY = GeoPoint(40.7128, -74.0060)  # NYC, ~3000 km from ABQ
@@ -279,47 +273,3 @@ class TestCrawlerMetrics:
         assert items[("ok",)] == 3
         assert items[("failed",)] == 2
 
-
-class TestCatalogueParity:
-    """docs/OBSERVABILITY.md must name exactly the metrics the code emits."""
-
-    @pytest.fixture(scope="class")
-    def emitted_names(self):
-        from repro.cli import run_metrics_workload
-
-        registry, _, _ = run_metrics_workload(scale=0.0002, seed=5)
-        return set(registry.names())
-
-    @pytest.fixture(scope="class")
-    def documented_names(self):
-        text = (DOCS / "OBSERVABILITY.md").read_text()
-        names = set()
-        for line in text.splitlines():
-            if line.startswith("| `repro_"):
-                match = re.match(r"\| `(repro_[a-z0-9_]+)`", line)
-                if match:
-                    names.add(match.group(1))
-        return names
-
-    def test_every_emitted_metric_is_documented(
-        self, emitted_names, documented_names
-    ):
-        missing = emitted_names - documented_names
-        assert not missing, (
-            f"metrics emitted but absent from docs/OBSERVABILITY.md "
-            f"catalogue: {sorted(missing)}"
-        )
-
-    def test_every_documented_metric_is_emitted(
-        self, emitted_names, documented_names
-    ):
-        stale = documented_names - emitted_names
-        assert not stale, (
-            f"metrics documented in docs/OBSERVABILITY.md but never "
-            f"emitted by the full workload: {sorted(stale)}"
-        )
-
-    def test_workload_covers_all_three_layers(self, emitted_names):
-        assert "repro_lbsn_checkins_total" in emitted_names
-        assert "repro_bus_published_total" in emitted_names
-        assert "repro_crawler_pages_fetched_total" in emitted_names

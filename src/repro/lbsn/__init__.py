@@ -49,7 +49,7 @@ from repro.lbsn.specials import (
     undefended_special_venues,
     venues_with_specials,
 )
-from repro.lbsn.store import DataStore, EventSequencer
+from repro.lbsn.store import DataStore
 from repro.lbsn.webserver import LbsnWebServer
 
 __all__ = [
@@ -88,7 +88,6 @@ __all__ = [
     "undefended_special_venues",
     "venues_with_specials",
     "DataStore",
-    "EventSequencer",
     "LbsnWebServer",
 ]
 

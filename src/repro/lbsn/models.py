@@ -118,14 +118,13 @@ class Venue:
     mayor_id: Optional[int] = None
     #: Total number of valid check-ins here.
     checkin_count: int = 0
-    #: Distinct users who have validly checked in here.
-    unique_visitors: Set[int] = field(default_factory=set)
     #: The public "Who's been here" list: most recent distinct visitor
     #: user-ids, newest first, truncated to RECENT_VISITOR_LIMIT.
     recent_visitors: List[int] = field(default_factory=list)
     tips: List[Tip] = field(default_factory=list)
     #: Valid check-ins here per user, maintained incrementally by the
     #: service so special-unlock checks avoid rescanning venue history.
+    #: Its keys are the distinct users who have validly checked in here.
     visitor_valid_counts: Dict[int, int] = field(default_factory=dict)
 
     #: How many entries the venue page shows in "Who's been here".
@@ -134,7 +133,7 @@ class Venue:
     @property
     def unique_visitor_count(self) -> int:
         """Distinct valid visitors ever."""
-        return len(self.unique_visitors)
+        return len(self.visitor_valid_counts)
 
     @property
     def has_special(self) -> bool:

@@ -565,7 +565,6 @@ class LbsnService:
         user.venues_visited.add(venue.venue_id)
         user.active_days.add(day_index(now))
         venue.checkin_count += 1
-        venue.unique_visitors.add(user.user_id)
         venue.record_recent_visitor(user.user_id)
 
         # Mayorship recomputation over the 60-day window.

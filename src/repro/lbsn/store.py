@@ -1,17 +1,18 @@
 """Thread-safe in-memory datastore backing the LBSN service.
 
-One coarse reentrant lock guards all tables.  The crawler hammers the web
-server from many threads while the attack campaign checks in concurrently,
-so every public method takes the lock; the service layer composes multi-step
-operations under :meth:`locked`.
+One coarse reentrant lock guards all tables and the stream-event seq
+counter.  The crawler hammers the web server from many threads while the
+attack campaign checks in concurrently, so every public method takes the
+lock.  Multi-step work is composed one level up: the service runs its
+whole check-in pipeline under ``LbsnService._lock`` and commits each
+check-in with one :meth:`DataStore.add_checkin_committed` call.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ServiceError
 from repro.faults.injector import FaultInjector
@@ -23,60 +24,22 @@ from repro.obs.log import DEBUG, LogHub
 from repro.obs.metrics import MetricsRegistry
 from repro.simnet.ids import SequentialIdAllocator
 
-#: Histogram buckets for group-commit batch sizes (check-ins per batch).
-BATCH_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0)
-
-
-class EventSequencer:
-    """Monotonic allocator for the store's stream-event sequence numbers.
-
-    :meth:`allocate_block` hands out a contiguous run in one lock
-    acquisition — the group-commit path's amortisation lever.
-
-    The contract the conformance harness checks: every allocated number
-    is used exactly once (allocation happens *after* fault checks and
-    duplicate validation, so an aborted commit never burns a slot), and
-    the union of all allocations is exactly ``range(watermark())``.
-    """
-
-    __slots__ = ("_lock", "_next")
-
-    def __init__(self, start: int = 0) -> None:
-        self._lock = threading.Lock()
-        self._next = start
-
-    def allocate(self) -> int:
-        """Allocate one sequence number."""
-        with self._lock:
-            seq = self._next
-            self._next += 1
-            return seq
-
-    def allocate_block(self, count: int) -> int:
-        """Allocate ``count`` contiguous numbers; returns the first."""
-        if count < 0:
-            raise ValueError(f"negative block size: {count}")
-        with self._lock:
-            start = self._next
-            self._next += count
-            return start
-
-    def watermark(self) -> int:
-        """The next sequence number that will be allocated."""
-        with self._lock:
-            return self._next
-
 
 class DataStore:
     """Users, venues, check-ins, and the spatial index over venues.
 
     Pass a :class:`~repro.obs.MetricsRegistry` to export entity counts as
     gauges (``repro_store_users`` / ``_venues`` / ``_checkins``) and lock
-    hold times (``repro_store_lock_hold_seconds``) for the composite
-    sections — :meth:`locked` and :meth:`add_checkin_committed`, the two
-    places the lock is held across multi-step work.  Fine-grained getters
-    are deliberately not timed: their hold time is one dict lookup, and
-    per-call timers there would cost more than the work they measure.
+    hold times (``repro_store_lock_hold_seconds``) for
+    :meth:`add_checkin_committed`, the one place the lock is held across
+    multi-step work.  Fine-grained getters are deliberately not timed:
+    their hold time is one dict lookup, and per-call timers there would
+    cost more than the work they measure.
+
+    Stream-event sequence numbers come from one counter read and written
+    only under the store lock, so event sequence == commit sequence and
+    the numbers handed out are exactly ``range(event_seq_watermark())``:
+    a commit that raises (a fired fault, a duplicate id) burns no slot.
     """
 
     def __init__(
@@ -86,7 +49,6 @@ class DataStore:
         faults: Optional[FaultInjector] = None,
     ) -> None:
         self._lock = threading.RLock()
-        self._metrics = metrics
         #: Optional fault injector checked at ``store.commit`` *before*
         #: any table row mutates, so a fired commit fault aborts cleanly
         #: (typically as :class:`~repro.errors.CommitContentionError`).
@@ -110,29 +72,13 @@ class DataStore:
             ).child()
             self._lock_hold = metrics.histogram(
                 "repro_store_lock_hold_seconds",
-                "Store-lock hold time across composite sections.",
-            ).child()
-            self._batch_commits = metrics.counter(
-                "repro_store_batch_commits_total",
-                "Group-commit batches applied.",
-            ).child()
-            self._batch_checkins = metrics.counter(
-                "repro_store_batch_checkins_total",
-                "Check-ins committed through the group-commit path.",
-            ).child()
-            self._batch_size = metrics.histogram(
-                "repro_store_batch_size",
-                "Check-ins coalesced per group-commit batch.",
-                buckets=BATCH_SIZE_BUCKETS,
+                "Store-lock hold time per committed check-in.",
             ).child()
         else:
             self._gauge_users = None
             self._gauge_venues = None
             self._gauge_checkins = None
             self._lock_hold = None
-            self._batch_commits = None
-            self._batch_checkins = None
-            self._batch_size = None
         self._users: Dict[int, User] = {}
         self._venues: Dict[int, Venue] = {}
         self._checkins: Dict[int, CheckIn] = {}
@@ -143,26 +89,8 @@ class DataStore:
         self.user_ids = SequentialIdAllocator()
         self.venue_ids = SequentialIdAllocator()
         self.checkin_ids = SequentialIdAllocator()
-        #: Monotonic commit-order sequencer for stream events.  Allocated
-        #: under the store lock so event sequence == commit sequence.
-        self._sequencer = EventSequencer()
-
-    @contextmanager
-    def locked(self) -> Iterator[None]:
-        """Hold the store lock across a multi-step operation."""
-        # Bind once: the instrument may be attached/detached mid-run, and
-        # mixing a None check with a later re-read observes garbage.
-        lock_hold = self._lock_hold
-        if lock_hold is None:
-            with self._lock:
-                yield
-            return
-        with self._lock:
-            acquired = time.perf_counter()
-            try:
-                yield
-            finally:
-                lock_hold.observe(time.perf_counter() - acquired)
+        #: The next stream-event sequence number; guarded by ``_lock``.
+        self._next_seq = 0
 
     # Users ------------------------------------------------------------
 
@@ -268,73 +196,24 @@ class DataStore:
     # Check-ins ----------------------------------------------------------
 
     def _insert_checkin_row_locked(self, checkin: CheckIn) -> None:
-        """Row-table + per-user-index insert.  Caller holds the lock."""
+        """Row table plus user and venue indexes.  Caller holds the lock."""
         if checkin.checkin_id in self._checkins:
             raise ServiceError(f"duplicate checkin id {checkin.checkin_id}")
         self._checkins[checkin.checkin_id] = checkin
         self._checkins_by_user.setdefault(checkin.user_id, []).append(
             checkin
         )
+        self._checkins_by_venue.setdefault(checkin.venue_id, []).append(
+            checkin
+        )
         if self._gauge_checkins is not None:
             self._gauge_checkins.inc()
 
     def add_checkin(self, checkin: CheckIn) -> CheckIn:
-        """Record a check-in attempt (any status)."""
+        """Record a check-in attempt (any status) without a seq number."""
         with self._lock:
             self._insert_checkin_row_locked(checkin)
-            self._checkins_by_venue.setdefault(checkin.venue_id, []).append(
-                checkin
-            )
             return checkin
-
-    def _insert_rows_fast_locked(
-        self,
-        checkins: Sequence[CheckIn],
-        ids: Optional[List[int]] = None,
-    ) -> None:
-        """Batch row insert: caller holds the lock AND already validated.
-
-        The amortisation half of group commit: the row table fills via
-        one C-level ``dict.update`` (reusing the id list the validator
-        already built), locals are hoisted out of the per-user index
-        loop, and ONE gauge increment covers the whole batch (each
-        ``inc`` takes the child's lock, which at 8 writers is real
-        money).
-        """
-        if ids is None:
-            ids = [checkin.checkin_id for checkin in checkins]
-        self._checkins.update(zip(ids, checkins))
-        by_user = self._checkins_by_user
-        by_user_get = by_user.get
-        for checkin in checkins:
-            user_id = checkin.user_id
-            rows = by_user_get(user_id)
-            if rows is None:
-                rows = by_user[user_id] = []
-            rows.append(checkin)
-        if self._gauge_checkins is not None:
-            self._gauge_checkins.inc(len(checkins))
-
-    def _validate_new_rows_locked(
-        self, checkins: Sequence[CheckIn]
-    ) -> List[int]:
-        """All-or-nothing guard: reject the whole batch before any insert.
-
-        The happy path is two C-level set operations (no per-row Python
-        work); only an actual collision walks the batch again to name the
-        offending id.  Returns the batch's id list so the insert path
-        can reuse it without re-reading every row.
-        """
-        ids = [checkin.checkin_id for checkin in checkins]
-        id_set = set(ids)
-        if len(id_set) == len(ids) and not (self._checkins.keys() & id_set):
-            return ids
-        seen: set = set()
-        for checkin_id in ids:
-            if checkin_id in self._checkins or checkin_id in seen:
-                raise ServiceError(f"duplicate checkin id {checkin_id}")
-            seen.add(checkin_id)
-        raise ServiceError("duplicate checkin id in batch")
 
     def allocate_event_seq(self) -> int:
         """Allocate one stream-event sequence number under the store lock.
@@ -343,7 +222,9 @@ class DataStore:
         users/venues) but still need a slot in the global commit order.
         """
         with self._lock:
-            return self._sequencer.allocate()
+            seq = self._next_seq
+            self._next_seq = seq + 1
+            return seq
 
     def add_checkin_committed(
         self, checkin: CheckIn, trace_id: Optional[str] = None
@@ -353,8 +234,8 @@ class DataStore:
         This is the event-ordering fix: ``add_checkin`` followed by a
         separate sequence allocation lets two racing threads commit in one
         order and sequence in the other, producing a stream that
-        contradicts the store.  Composing both under one :meth:`locked`
-        section guarantees that for every user (and venue), event sequence
+        contradicts the store.  Doing both under one hold of the store
+        lock guarantees that for every user (and venue), event sequence
         numbers are strictly increasing in exactly list-append order.
 
         When a :class:`~repro.obs.log.LogHub` was injected, each commit
@@ -378,10 +259,8 @@ class DataStore:
         with self._lock:
             started = time.perf_counter() if lock_hold is not None else 0.0
             self._insert_checkin_row_locked(checkin)
-            self._checkins_by_venue.setdefault(checkin.venue_id, []).append(
-                checkin
-            )
-            seq = self._sequencer.allocate()
+            seq = self._next_seq
+            self._next_seq = seq + 1
             if lock_hold is not None:
                 lock_hold.observe(time.perf_counter() - started)
         logger = self._logger
@@ -396,69 +275,10 @@ class DataStore:
             )
         return checkin, seq
 
-    def add_checkins_committed(
-        self,
-        checkins: Sequence[CheckIn],
-        trace_id: Optional[str] = None,
-    ) -> List[Tuple[CheckIn, int]]:
-        """Group-commit: append a batch under ONE lock hold + seq block.
-
-        The batched twin of :meth:`add_checkin_committed`: every fault
-        check runs up front (one decision per check-in, mirroring what
-        the same commits would draw singly, and still *before* any row
-        mutates — a fired fault aborts the whole batch atomically), then
-        one lock acquisition covers validation, every row and index
-        insert, and one contiguous :meth:`EventSequencer.allocate_block`.
-        ``result[i]`` is ``(checkins[i], start_seq + i)``, so per-user
-        seq order equals list order exactly as in the single path.
-
-        This is the capacity lever the E25 bench measures: at 8 writer
-        threads the single path pays a contended lock acquisition, a
-        sequencer hit, and a histogram observation *per check-in*; this
-        path pays each once per batch.
-        """
-        checkins = list(checkins)
-        if not checkins:
-            return []
-        if self.faults is not None:
-            for checkin in checkins:
-                self.faults.check(POINT_STORE_COMMIT, trace_id=trace_id)
-        lock_hold = self._lock_hold
-        with self._lock:
-            started = time.perf_counter() if lock_hold is not None else 0.0
-            ids = self._validate_new_rows_locked(checkins)
-            self._insert_rows_fast_locked(checkins, ids)
-            by_venue = self._checkins_by_venue
-            for checkin in checkins:
-                by_venue.setdefault(checkin.venue_id, []).append(checkin)
-            start = self._sequencer.allocate_block(len(checkins))
-            if lock_hold is not None:
-                lock_hold.observe(time.perf_counter() - started)
-        if self._batch_commits is not None:
-            self._batch_commits.inc()
-            self._batch_checkins.inc(len(checkins))
-            self._batch_size.observe(len(checkins))
-        logger = self._logger
-        if logger is not None and logger.enabled_for(DEBUG):
-            logger.debug(
-                "store.commit",
-                trace_id=trace_id,
-                batch=len(checkins),
-                first_seq=start,
-            )
-        return [
-            (checkin, start + offset)
-            for offset, checkin in enumerate(checkins)
-        ]
-
     def event_seq_watermark(self) -> int:
         """The next sequence number that will be allocated."""
-        return self._sequencer.watermark()
-
-    def get_checkin(self, checkin_id: int) -> Optional[CheckIn]:
-        """Look up one check-in by ID."""
         with self._lock:
-            return self._checkins.get(checkin_id)
+            return self._next_seq
 
     def checkins_of_user(self, user_id: int) -> List[CheckIn]:
         """All recorded check-ins by a user, oldest first.
@@ -483,17 +303,3 @@ class DataStore:
         """Total recorded check-ins (valid + flagged)."""
         with self._lock:
             return len(self._checkins)
-
-    def last_checkin_of_user(self, user_id: int) -> Optional[CheckIn]:
-        """Most recent recorded check-in by ``user_id``, or None."""
-        with self._lock:
-            checkins = self._checkins_by_user.get(user_id)
-            return checkins[-1] if checkins else None
-
-    def recent_checkins_of_user(
-        self, user_id: int, limit: int
-    ) -> List[CheckIn]:
-        """Up to ``limit`` most recent check-ins by a user, newest first."""
-        with self._lock:
-            checkins = self._checkins_by_user.get(user_id, [])
-            return list(reversed(checkins[-limit:]))

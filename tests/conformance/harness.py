@@ -2,17 +2,17 @@
 
 A linearizability-style checker for the seq-allocation contract: N
 writer threads hammer one store through a deterministic, seeded schedule
-of single (``add_checkin_committed``) and batched
-(``add_checkins_committed``) commits, every commit is published to a
+of ``add_checkin_committed`` calls, every commit is published to a
 real :class:`~repro.stream.EventBus` with a recording subscriber, and
 the run returns an :class:`ObservedHistory` the checker functions then
 interrogate:
 
 * :func:`assert_seqs_dense` — the union of all returned sequence
   numbers is exactly ``range(total)``: gap-free, duplicate-free, global.
-* :func:`assert_per_user_order` — for every user, seq numbers are
-  strictly increasing in exactly the store's list-append order (the
-  contract ``DataStore.add_checkin_committed`` documents).
+* :func:`assert_per_user_order` / :func:`assert_per_venue_order` — for
+  every user and venue, seq numbers are strictly increasing in exactly
+  the store's list-append order (the contract
+  ``DataStore.add_checkin_committed`` documents).
 * :func:`assert_observed_exactly_once` — every committed check-in was
   delivered to the bus subscriber exactly once: no loss, no duplication.
 * :func:`ledger_replay_digest` — replays the committed history in a
@@ -56,26 +56,17 @@ CHECKIN_ID_STRIDE = 1_000_000
 
 
 @dataclass
-class StormOp:
-    """One scheduled commit: a single check-in or a batch."""
-
-    checkins: List[CheckIn]
-    batched: bool
-
-
-@dataclass
 class StormSchedule:
-    """A full deterministic storm: per-thread op lists plus the world."""
+    """A full deterministic storm: per-thread commit lists plus the world."""
 
     users: List[User]
     venues: List[Venue]
-    per_thread: List[List[StormOp]]
+    #: Each thread's check-ins, one ``add_checkin_committed`` call apiece.
+    per_thread: List[List[CheckIn]]
 
     @property
     def total_checkins(self) -> int:
-        return sum(
-            len(op.checkins) for ops in self.per_thread for op in ops
-        )
+        return sum(len(rows) for rows in self.per_thread)
 
 
 @dataclass
@@ -109,10 +100,9 @@ def _venue_location(index: int) -> GeoPoint:
 
 def build_schedule(
     threads: int = 8,
-    ops_per_thread: int = 40,
+    ops_per_thread: int = 90,
     users_per_thread: int = 3,
     venues: int = 24,
-    max_batch: int = 8,
     seed: int = 0x5EED,
 ) -> StormSchedule:
     """Precompute a storm: pure function of its arguments.
@@ -120,9 +110,9 @@ def build_schedule(
     Each thread owns a disjoint user slice (so per-user order is decided
     by one thread's program order plus the store, never by a data race in
     the harness itself) while all threads share the venue pool — the
-    contention the harness exists to provoke.  Roughly every
-    third op is a batch; timestamps increase strictly within a thread so
-    the canonical replay order is well defined.
+    contention the harness exists to provoke.  Timestamps increase
+    strictly within a thread so the canonical replay order is well
+    defined.
     """
     import random
 
@@ -140,35 +130,29 @@ def build_schedule(
         )
         for index in range(venues)
     ]
-    per_thread: List[List[StormOp]] = []
+    per_thread: List[List[CheckIn]] = []
     for thread in range(threads):
         owned = users[
             thread * users_per_thread: (thread + 1) * users_per_thread
         ]
-        ops: List[StormOp] = []
-        next_id = thread * CHECKIN_ID_STRIDE + 1
+        rows: List[CheckIn] = []
+        first_id = thread * CHECKIN_ID_STRIDE + 1
         clock = float(thread + 1)
         for op_index in range(ops_per_thread):
-            batched = rng.random() < 0.34
-            size = rng.randint(2, max_batch) if batched else 1
-            checkins = []
-            for _ in range(size):
-                user = rng.choice(owned)
-                venue = rng.choice(venue_rows)
-                clock += 60.0 + rng.random() * 600.0
-                checkins.append(
-                    CheckIn(
-                        checkin_id=next_id,
-                        user_id=user.user_id,
-                        venue_id=venue.venue_id,
-                        timestamp=clock,
-                        reported_location=venue.location,
-                        status=CheckInStatus.VALID,
-                    )
+            user = rng.choice(owned)
+            venue = rng.choice(venue_rows)
+            clock += 60.0 + rng.random() * 600.0
+            rows.append(
+                CheckIn(
+                    checkin_id=first_id + op_index,
+                    user_id=user.user_id,
+                    venue_id=venue.venue_id,
+                    timestamp=clock,
+                    reported_location=venue.location,
+                    status=CheckInStatus.VALID,
                 )
-                next_id += 1
-            ops.append(StormOp(checkins=checkins, batched=batched))
-        per_thread.append(ops)
+            )
+        per_thread.append(rows)
     return StormSchedule(
         users=users, venues=venue_rows, per_thread=per_thread
     )
@@ -222,42 +206,36 @@ def run_storm(
     errors: List[BaseException] = []
     barrier = threading.Barrier(len(schedule.per_thread))
 
-    def publish(pairs: Sequence[Tuple[CheckIn, int]]) -> None:
+    def publish(checkin: CheckIn, seq: int) -> None:
         with publish_lock:
-            for checkin, seq in pairs:
-                bus.publish(
-                    CheckInAccepted(
-                        seq=seq,
-                        timestamp=checkin.timestamp,
-                        user_id=checkin.user_id,
-                        venue_id=checkin.venue_id,
-                        venue_location=venue_locations[checkin.venue_id],
-                        reported_location=checkin.reported_location,
-                        checkin_id=checkin.checkin_id,
-                    )
+            bus.publish(
+                CheckInAccepted(
+                    seq=seq,
+                    timestamp=checkin.timestamp,
+                    user_id=checkin.user_id,
+                    venue_id=checkin.venue_id,
+                    venue_location=venue_locations[checkin.venue_id],
+                    reported_location=checkin.reported_location,
+                    checkin_id=checkin.checkin_id,
                 )
+            )
 
-    def worker(thread: int, ops: List[StormOp]) -> None:
+    def worker(thread: int, rows: List[CheckIn]) -> None:
         try:
             barrier.wait(timeout=30)
             local: List[Tuple[int, CheckIn, int]] = []
-            for op in ops:
-                if op.batched:
-                    pairs = store.add_checkins_committed(op.checkins)
-                else:
-                    pairs = [store.add_checkin_committed(op.checkins[0])]
-                publish(pairs)
-                local.extend(
-                    (thread, checkin, seq) for checkin, seq in pairs
-                )
+            for row in rows:
+                checkin, seq = store.add_checkin_committed(row)
+                publish(checkin, seq)
+                local.append((thread, checkin, seq))
             with committed_lock:
                 committed.extend(local)
         except BaseException as exc:  # surfaced by the caller
             errors.append(exc)
 
     workers = [
-        threading.Thread(target=worker, args=(thread, ops), daemon=True)
-        for thread, ops in enumerate(schedule.per_thread)
+        threading.Thread(target=worker, args=(thread, rows), daemon=True)
+        for thread, rows in enumerate(schedule.per_thread)
     ]
     for thread in workers:
         thread.start()
@@ -307,6 +285,22 @@ def assert_per_user_order(history: ObservedHistory) -> None:
             checkin.checkin_id
             for _, checkin, _ in history.committed
             if checkin.user_id == user_id
+        )
+
+
+def assert_per_venue_order(history: ObservedHistory) -> None:
+    """Per venue: store list order == seq order.
+
+    Venues are shared by every thread, so this is where a commit whose
+    row insert and seq allocation are not one atomic step shows up.
+    """
+    seq_of = history.seq_of()
+    for venue in history.schedule.venues:
+        listed = history.store.checkins_at_venue(venue.venue_id)
+        listed_seqs = [seq_of[checkin.checkin_id] for checkin in listed]
+        assert listed_seqs == sorted(listed_seqs), (
+            f"venue {venue.venue_id}: store append order disagrees with "
+            "seq order"
         )
 
 
@@ -367,16 +361,14 @@ def ledger_replay_digest(
 
 def run_conformance_storm(
     threads: int = 8,
-    ops_per_thread: int = 40,
+    ops_per_thread: int = 90,
     seed: int = 0x5EED,
-    max_batch: int = 8,
 ) -> ObservedHistory:
     """Build schedule → populate a fresh :class:`DataStore` → storm."""
     schedule = build_schedule(
         threads=threads,
         ops_per_thread=ops_per_thread,
         seed=seed,
-        max_batch=max_batch,
     )
     store = DataStore()
     populate(store, schedule)

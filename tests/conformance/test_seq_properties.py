@@ -1,7 +1,7 @@
 """Property tests (hypothesis) for the seq-allocation contract.
 
-Arbitrary interleavings of single commits, batched commits, and bare
-sequence-slot allocations must always yield:
+Arbitrary interleavings of single commits and bare sequence-slot
+allocations must always yield:
 
 * a dense, duplicate-free global seq order (the union of everything the
   store handed out is exactly ``range(total)``),
@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.geo.coordinates import GeoPoint
 from repro.lbsn.models import CheckIn, CheckInStatus, User, Venue, VenueCategory
-from repro.lbsn.store import DataStore, EventSequencer
+from repro.lbsn.store import DataStore
 
 USERS = 9
 VENUES = 11
@@ -22,14 +22,10 @@ VENUES = 11
 user_keys = st.integers(min_value=1, max_value=USERS)
 venue_keys = st.integers(min_value=1, max_value=VENUES)
 
-#: One op: a bare seq slot, a single commit, or a batch of 1..6 commits.
+#: One op: a bare seq slot or a single commit.
 ops = st.one_of(
     st.just(("slot",)),
     st.tuples(st.just("single"), user_keys, venue_keys),
-    st.tuples(
-        st.just("batch"),
-        st.lists(st.tuples(user_keys, venue_keys), min_size=1, max_size=6),
-    ),
 )
 op_lists = st.lists(ops, min_size=1, max_size=30)
 
@@ -75,14 +71,10 @@ def _apply(store: DataStore, op_list) -> list:
     for op in op_list:
         if op[0] == "slot":
             allocations.append(("slot", None, store.allocate_event_seq()))
-        elif op[0] == "single":
+        else:
             _, user_id, venue_id = op
             _, seq = store.add_checkin_committed(checkin(user_id, venue_id))
             allocations.append(("commit", user_id, seq))
-        else:
-            rows = [checkin(u, v) for u, v in op[1]]
-            for row, seq in store.add_checkins_committed(rows):
-                allocations.append(("commit", row.user_id, seq))
     return allocations
 
 
@@ -121,11 +113,3 @@ class TestSeqAllocationContract:
         commits = [a for a in allocations if a[0] == "commit"]
         assert store.checkin_count() == len(commits)
 
-
-class TestEventSequencer:
-    def test_allocate_block_contiguous(self):
-        sequencer = EventSequencer()
-        start = sequencer.allocate_block(5)
-        assert start == 0
-        assert sequencer.allocate() == 5
-        assert sequencer.watermark() == 6

@@ -64,7 +64,7 @@ class TestVenuePage:
     def test_round_trip_core_fields(self, renderer):
         venue = self._venue()
         venue.checkin_count = 9
-        venue.unique_visitors = {1, 2, 3}
+        venue.visitor_valid_counts = {1: 1, 2: 1, 3: 1}
         parsed = parse_venue_page(renderer.render_venue(venue))
         assert parsed.venue_id == 1235677
         assert parsed.name == "Starbucks #17 <3"

@@ -103,25 +103,25 @@ class TestCheckins:
         with pytest.raises(ServiceError):
             store.add_checkin(make_checkin(1))
 
-    def test_last_checkin(self):
+    def test_duplicate_committed_checkin_changes_nothing(self):
         store = DataStore()
-        assert store.last_checkin_of_user(1) is None
-        store.add_checkin(make_checkin(1, timestamp=10.0))
-        store.add_checkin(make_checkin(2, timestamp=20.0))
-        assert store.last_checkin_of_user(1).checkin_id == 2
+        store.add_checkin_committed(make_checkin(1, user_id=1, venue_id=5))
 
-    def test_recent_checkins_newest_first(self):
-        store = DataStore()
-        for index in range(5):
-            store.add_checkin(make_checkin(index + 1, timestamp=index * 10.0))
-        recent = store.recent_checkins_of_user(1, limit=3)
-        assert [c.checkin_id for c in recent] == [5, 4, 3]
+        def state():
+            return (
+                store.checkin_count(),
+                list(store.checkins_of_user(1)),
+                list(store.checkins_at_venue(5)),
+                store.event_seq_watermark(),
+            )
 
-    def test_get_checkin(self):
-        store = DataStore()
-        added = store.add_checkin(make_checkin(1))
-        assert store.get_checkin(1) is added
-        assert store.get_checkin(99) is None
+        before = state()
+        with pytest.raises(ServiceError):
+            store.add_checkin_committed(
+                make_checkin(1, user_id=1, venue_id=5)
+            )
+        # All-or-nothing: no row landed, no seq slot was burned.
+        assert state() == before
 
 
 class TestConcurrency:
@@ -151,57 +151,6 @@ class TestConcurrency:
         assert len(store.checkins_at_venue(1)) == 600
 
 
-class TestBatchCommit:
-    def test_batch_allocates_contiguous_block_in_input_order(self):
-        store = DataStore()
-        rows = [make_checkin(i + 1, user_id=1, venue_id=1) for i in range(5)]
-        pairs = store.add_checkins_committed(rows)
-        assert [c.checkin_id for c, _ in pairs] == [1, 2, 3, 4, 5]
-        seqs = [seq for _, seq in pairs]
-        assert seqs == list(range(seqs[0], seqs[0] + 5))
-        assert store.event_seq_watermark() == seqs[-1] + 1
-        assert len(store.checkins_of_user(1)) == 5
-        assert len(store.checkins_at_venue(1)) == 5
-
-    def test_empty_batch_is_a_no_op(self):
-        store = DataStore()
-        assert store.add_checkins_committed([]) == []
-        assert store.event_seq_watermark() == 0
-
-    def test_duplicate_inside_batch_aborts_whole_batch(self):
-        store = DataStore()
-        rows = [
-            make_checkin(1, user_id=1),
-            make_checkin(2, user_id=1),
-            make_checkin(1, user_id=1),
-        ]
-        with pytest.raises(ServiceError):
-            store.add_checkins_committed(rows)
-        # All-or-nothing: no row landed, no seq slot was burned.
-        assert store.checkin_count() == 0
-        assert store.event_seq_watermark() == 0
-
-    def test_duplicate_against_existing_row_aborts_whole_batch(self):
-        store = DataStore()
-        store.add_checkin(make_checkin(2))
-        with pytest.raises(ServiceError):
-            store.add_checkins_committed(
-                [make_checkin(1), make_checkin(2)]
-            )
-        assert store.checkin_count() == 1
-        assert store.event_seq_watermark() == 0
-
-    def test_batch_metrics_recorded(self):
-        registry = MetricsRegistry()
-        store = DataStore(metrics=registry)
-        store.add_checkins_committed(
-            [make_checkin(i + 1) for i in range(4)]
-        )
-        snapshot = registry.snapshot()
-        assert snapshot["repro_store_batch_commits_total"][()] == 1
-        assert snapshot["repro_store_batch_checkins_total"][()] == 4
-
-
 class TestLockHoldInstrumentation:
     """Regression: attaching metrics mid-commit must not observe garbage.
 
@@ -216,7 +165,7 @@ class TestLockHoldInstrumentation:
     def _hold_child(registry):
         return registry.histogram(
             "repro_store_lock_hold_seconds",
-            "Store-lock hold time across composite sections.",
+            "Store-lock hold time per committed check-in.",
         ).child()
 
     def _attach_mid_commit(self, store, registry):
@@ -242,35 +191,6 @@ class TestLockHoldInstrumentation:
         store.add_checkin_committed(make_checkin(2))
         assert hold._count == 1
         assert hold._sum < 1.0
-
-    def test_mid_commit_attach_during_batch(self):
-        registry = MetricsRegistry()
-        store = DataStore()
-        original = store._validate_new_rows_locked
-
-        def hooked(checkins):
-            store._lock_hold = self._hold_child(registry)
-            store._validate_new_rows_locked = original
-            original(checkins)
-
-        store._validate_new_rows_locked = hooked
-        store.add_checkins_committed(
-            [make_checkin(1), make_checkin(2)]
-        )
-        assert store._lock_hold._count == 0
-        store.add_checkins_committed([make_checkin(3)])
-        assert store._lock_hold._count == 1
-        assert store._lock_hold._sum < 1.0
-
-    def test_mid_section_detach_in_locked_is_safe(self):
-        registry = MetricsRegistry()
-        store = DataStore(metrics=registry)
-        hold = store._lock_hold
-        count_before = hold._count
-        with store.locked():
-            store._lock_hold = None  # detached mid-section
-        # The section still observes on the instrument it entered with.
-        assert hold._count == count_before + 1
 
     def test_steady_state_hold_times_stay_sane(self):
         registry = MetricsRegistry()

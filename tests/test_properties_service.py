@@ -121,7 +121,20 @@ class ServiceMachine(RuleBasedStateMachine):
                 venue.recent_visitors
             )
             for user_id in venue.recent_visitors:
-                assert user_id in venue.unique_visitors
+                assert user_id in venue.visitor_valid_counts
+
+    @invariant()
+    def unique_visitors_match_valid_history(self):
+        if not hasattr(self, "service"):
+            return
+        store = self.service.store
+        for venue in store.iter_venues():
+            valid_users = {
+                checkin.user_id
+                for checkin in store.checkins_at_venue(venue.venue_id)
+                if checkin.status is CheckInStatus.VALID
+            }
+            assert venue.unique_visitor_count == len(valid_users)
 
 
 TestServiceStateMachine = ServiceMachine.TestCase

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import re
 import threading
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.crawler.parser import ParsedUser, ParsedVenue
 
 
-@dataclass
+@dataclass(slots=True)
 class UserInfoRow:
     """One row of the UserInfo table."""
 
@@ -34,10 +34,10 @@ class UserInfoRow:
     #: Derived: number of venues whose MayorID is this user.
     total_mayors: int = 0
     #: Friend links scraped off the profile page.
-    friend_ids: List[int] = field(default_factory=list)
+    friend_ids: Sequence[int] = ()
 
 
-@dataclass
+@dataclass(slots=True)
 class VenueInfoRow:
     """One row of the VenueInfo table."""
 
@@ -54,7 +54,7 @@ class VenueInfoRow:
     special_mayor_only: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RecentCheckinRow:
     """One (user, venue) pair from a venue's "Who's been here" list."""
 
@@ -85,7 +85,7 @@ class CrawlDatabase:
         #: Ordered "Who's been here" lists, newest visitor first, exactly
         #: as rendered on the venue page at the last upsert.  The snapshot
         #: differ uses the ordering to detect revisits.
-        self._recent_lists: Dict[int, List[int]] = {}
+        self._recent_lists: Dict[int, Tuple[int, ...]] = {}
         self._lock = threading.RLock()
 
     # Inserts ------------------------------------------------------------
@@ -104,7 +104,7 @@ class CrawlDatabase:
                 points=parsed.points,
                 recent_checkins=existing.recent_checkins if existing else 0,
                 total_mayors=existing.total_mayors if existing else 0,
-                friend_ids=list(parsed.friend_ids),
+                friend_ids=tuple(parsed.friend_ids),
             )
             self._users[parsed.user_id] = row
             return row
@@ -130,7 +130,7 @@ class CrawlDatabase:
                 self._recent.add(
                     RecentCheckinRow(user_id=user_id, venue_id=parsed.venue_id)
                 )
-            self._recent_lists[parsed.venue_id] = list(
+            self._recent_lists[parsed.venue_id] = tuple(
                 parsed.recent_visitor_ids
             )
             return row

@@ -51,7 +51,7 @@ def normalize_longitude(longitude: float) -> float:
     return wrapped - 180.0
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class GeoPoint:
     """An immutable (latitude, longitude) pair in decimal degrees."""
 

@@ -6,15 +6,39 @@ and check-ins that may be flagged by the cheater code.  A flagged check-in
 *still counts toward the user's total* but yields no rewards — §4.3: "all
 detected cheating check-ins still count in the total number of check-ins,
 but do not receive any rewards".
+
+``User``, ``Venue`` and ``CheckIn`` are slotted, and a fresh user or venue
+holds no container of its own: each per-row collection starts as one
+shared, immutable empty value and becomes a real container on its first
+write, which goes through a writer method (``User.add_badge``,
+``User.add_friend``, ``User.record_valid_visit``,
+``Venue.record_recent_visitor``, ``Venue.add_tip``,
+``Venue.count_valid_visit``).  A row that is never written to therefore
+costs no container, and a write that bypasses those methods raises instead
+of writing into every row's shared default.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Set
+from types import MappingProxyType
+from typing import AbstractSet, Hashable, List, Mapping, Optional, Sequence, Set
 
 from repro.geo.coordinates import GeoPoint
+
+#: The shared empty ``Venue.visitor_valid_counts``.  ``dataclass`` only
+#: takes hashable defaults, so rows get it from a factory.
+_NO_VISITS: Mapping[int, int] = MappingProxyType({})
+
+
+def _with(items: AbstractSet[Hashable], item: Hashable) -> Set[Hashable]:
+    """``items`` plus ``item``; a row's first write replaces its shared
+    empty ``frozenset`` with a set of its own."""
+    if items:
+        items.add(item)
+        return items
+    return {item}
 
 
 class VenueCategory(Enum):
@@ -47,7 +71,7 @@ class Special:
     unlock_checkins: int = 1
 
 
-@dataclass
+@dataclass(slots=True)
 class User:
     """A registered account.
 
@@ -65,12 +89,12 @@ class User:
     #: Check-ins that passed all verification and earned rewards.
     valid_checkins: int = 0
     points: int = 0
-    badges: Set[str] = field(default_factory=set)
-    friends: Set[int] = field(default_factory=set)
+    badges: AbstractSet[str] = frozenset()
+    friends: AbstractSet[int] = frozenset()
     #: Distinct venues this user has validly checked into.
-    venues_visited: Set[int] = field(default_factory=set)
+    venues_visited: AbstractSet[int] = frozenset()
     #: Distinct calendar days with at least one valid check-in.
-    active_days: Set[int] = field(default_factory=set)
+    active_days: AbstractSet[int] = frozenset()
     #: Venues this user is *currently* mayor of (maintained by the service).
     mayorship_count: int = 0
 
@@ -88,6 +112,19 @@ class User:
         """The ID-based public profile path the crawler enumerates."""
         return f"/user/{self.user_id}"
 
+    def add_badge(self, name: str) -> None:
+        """Record an earned badge."""
+        self.badges = _with(self.badges, name)
+
+    def add_friend(self, user_id: int) -> None:
+        """Record one side of a friend link."""
+        self.friends = _with(self.friends, user_id)
+
+    def record_valid_visit(self, venue_id: int, day: int) -> None:
+        """Count ``venue_id`` and calendar ``day`` as validly visited."""
+        self.venues_visited = _with(self.venues_visited, venue_id)
+        self.active_days = _with(self.active_days, day)
+
 
 @dataclass(frozen=True)
 class Tip:
@@ -103,7 +140,7 @@ class Tip:
     created_at: float
 
 
-@dataclass
+@dataclass(slots=True)
 class Venue:
     """A check-in target: coffee shop, restaurant, landmark, ..."""
 
@@ -120,12 +157,14 @@ class Venue:
     checkin_count: int = 0
     #: The public "Who's been here" list: most recent distinct visitor
     #: user-ids, newest first, truncated to RECENT_VISITOR_LIMIT.
-    recent_visitors: List[int] = field(default_factory=list)
-    tips: List[Tip] = field(default_factory=list)
+    recent_visitors: Sequence[int] = ()
+    tips: Sequence[Tip] = ()
     #: Valid check-ins here per user, maintained incrementally by the
     #: service so special-unlock checks avoid rescanning venue history.
     #: Its keys are the distinct users who have validly checked in here.
-    visitor_valid_counts: Dict[int, int] = field(default_factory=dict)
+    visitor_valid_counts: Mapping[int, int] = field(
+        default_factory=lambda: _NO_VISITS
+    )
 
     #: How many entries the venue page shows in "Who's been here".
     RECENT_VISITOR_LIMIT = 10
@@ -146,10 +185,30 @@ class Venue:
 
     def record_recent_visitor(self, user_id: int) -> None:
         """Move ``user_id`` to the head of the recent-visitor list."""
-        if user_id in self.recent_visitors:
-            self.recent_visitors.remove(user_id)
-        self.recent_visitors.insert(0, user_id)
-        del self.recent_visitors[self.RECENT_VISITOR_LIMIT :]
+        visitors = self.recent_visitors
+        if not visitors:
+            self.recent_visitors = [user_id]
+            return
+        if user_id in visitors:
+            visitors.remove(user_id)
+        visitors.insert(0, user_id)
+        del visitors[self.RECENT_VISITOR_LIMIT :]
+
+    def add_tip(self, tip: Tip) -> None:
+        """Append a public comment to the venue page."""
+        if self.tips:
+            self.tips.append(tip)
+        else:
+            self.tips = [tip]
+
+    def count_valid_visit(self, user_id: int) -> int:
+        """Count one more valid check-in by ``user_id``; returns its total."""
+        counts = self.visitor_valid_counts
+        if not counts:
+            counts = self.visitor_valid_counts = {}
+        valid_here = counts.get(user_id, 0) + 1
+        counts[user_id] = valid_here
+        return valid_here
 
 
 class CheckInStatus(Enum):
@@ -165,7 +224,7 @@ class CheckInStatus(Enum):
     REJECTED = "rejected"
 
 
-@dataclass
+@dataclass(slots=True)
 class CheckIn:
     """One check-in attempt and its outcome."""
 

@@ -328,6 +328,6 @@ class BadgeEngine:
             if definition.name in user.badges:
                 continue
             if definition.predicate(user, history):
-                user.badges.add(definition.name)
+                user.add_badge(definition.name)
                 earned.append(definition.name)
         return earned

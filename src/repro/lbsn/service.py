@@ -562,8 +562,7 @@ class LbsnService:
         # User/venue counters.
         user.total_checkins += 1
         user.valid_checkins += 1
-        user.venues_visited.add(venue.venue_id)
-        user.active_days.add(day_index(now))
+        user.record_valid_visit(venue.venue_id, day_index(now))
         venue.checkin_count += 1
         venue.record_recent_visitor(user.user_id)
 
@@ -591,8 +590,7 @@ class LbsnService:
         )
 
         # Specials (per-user valid counts are maintained incrementally).
-        valid_here = venue.visitor_valid_counts.get(user.user_id, 0) + 1
-        venue.visitor_valid_counts[user.user_id] = valid_here
+        valid_here = venue.count_valid_visit(user.user_id)
         is_mayor_after = venue.mayor_id == user.user_id
         special = special_unlocked_by(venue, user, valid_here, is_mayor_after)
 
@@ -701,7 +699,7 @@ class LbsnService:
                 text=text,
                 created_at=self.clock.now() if timestamp is None else timestamp,
             )
-            venue.tips.append(tip)
+            venue.add_tip(tip)
             return tip
 
     # Maintenance ------------------------------------------------------------

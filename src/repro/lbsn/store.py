@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ServiceError
 from repro.faults.injector import FaultInjector
@@ -104,7 +104,6 @@ class DataStore:
                     raise ServiceError(f"duplicate username {user.username!r}")
                 self._usernames[user.username] = user.user_id
             self._users[user.user_id] = user
-            self._checkins_by_user.setdefault(user.user_id, [])
             if self._gauge_users is not None:
                 self._gauge_users.inc()
             return user
@@ -145,7 +144,6 @@ class DataStore:
             if venue.venue_id in self._venues:
                 raise ServiceError(f"duplicate venue id {venue.venue_id}")
             self._venues[venue.venue_id] = venue
-            self._checkins_by_venue.setdefault(venue.venue_id, [])
             self._venue_grid.insert(venue.venue_id, venue.location)
             if self._gauge_venues is not None:
                 self._gauge_venues.inc()
@@ -196,7 +194,12 @@ class DataStore:
     # Check-ins ----------------------------------------------------------
 
     def _insert_checkin_row_locked(self, checkin: CheckIn) -> None:
-        """Row table plus user and venue indexes.  Caller holds the lock."""
+        """Row table plus user and venue indexes.  Caller holds the lock.
+
+        An id's index list is created by its first row, not by
+        ``add_user``/``add_venue``: most rows of a paper-scale corpus
+        never check in.
+        """
         if checkin.checkin_id in self._checkins:
             raise ServiceError(f"duplicate checkin id {checkin.checkin_id}")
         self._checkins[checkin.checkin_id] = checkin
@@ -280,24 +283,27 @@ class DataStore:
         with self._lock:
             return self._next_seq
 
-    def checkins_of_user(self, user_id: int) -> List[CheckIn]:
+    def checkins_of_user(self, user_id: int) -> Sequence[CheckIn]:
         """All recorded check-ins by a user, oldest first.
 
         Returns the **live internal list** to keep history scans O(1) per
         access (heavy cheater accounts accumulate 10k+ records, and the
         check-in pipeline reads history on every attempt).  Callers must
         treat it as read-only; mutation goes through :meth:`add_checkin`.
+        An id with no row yet gets a shared empty tuple, which a later
+        commit does not update: ask again after committing.  A read never
+        inserts.
         """
         with self._lock:
-            return self._checkins_by_user.setdefault(user_id, [])
+            return self._checkins_by_user.get(user_id, ())
 
-    def checkins_at_venue(self, venue_id: int) -> List[CheckIn]:
+    def checkins_at_venue(self, venue_id: int) -> Sequence[CheckIn]:
         """All recorded check-ins at a venue, oldest first.
 
         Same live-reference contract as :meth:`checkins_of_user`.
         """
         with self._lock:
-            return self._checkins_by_venue.setdefault(venue_id, [])
+            return self._checkins_by_venue.get(venue_id, ())
 
     def checkin_count(self) -> int:
         """Total recorded check-ins (valid + flagged)."""

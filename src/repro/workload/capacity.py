@@ -11,14 +11,22 @@ Latency accounting: per-commit durations (p50/p99/max).  Determinism:
 user, venue, timestamp, and check-in id all derive from the config;
 only thread interleaving varies, and the conformance harness owns
 proving that interleaving cannot change semantics.
+
+Footprint accounting: :func:`measure_footprint` gives the heap bytes of
+one user, one venue and one committed check-in, each row plus its store
+indexes, and :func:`resident_bytes` the process's resident set, which
+the paper-scale phase reads around its populate.
 """
 
 from __future__ import annotations
 
+import itertools
+import os
 import threading
 import time
+import tracemalloc
 from dataclasses import dataclass
-from typing import List
+from typing import Iterator, List
 
 from repro.geo.coordinates import GeoPoint
 from repro.lbsn.models import CheckIn, CheckInStatus, User, Venue, VenueCategory
@@ -66,22 +74,36 @@ def _venue_location(index: int) -> GeoPoint:
     )
 
 
-def build_corpus(config: CapacityConfig):
-    """The shared User/Venue rows (built once, loaded into every store)."""
-    users = [
-        User(user_id=index + 1, display_name=f"cap-u{index + 1}")
-        for index in range(config.users)
-    ]
-    venues = [
-        Venue(
+@dataclass
+class Footprint:
+    """Heap bytes per row, each row plus its store indexes."""
+
+    checkins: int
+    bytes_per_user: float
+    bytes_per_venue: float
+    bytes_per_checkin: float
+
+
+def iter_users(count: int) -> Iterator[User]:
+    """Users ``1..count``, built one at a time."""
+    for index in range(count):
+        yield User(user_id=index + 1, display_name=f"cap-u{index + 1}")
+
+
+def iter_venues(count: int) -> Iterator[Venue]:
+    """Venues ``1..count`` on the synthetic city grid, one at a time."""
+    for index in range(count):
+        yield Venue(
             venue_id=index + 1,
             name=f"cap-v{index + 1}",
             location=_venue_location(index),
             category=VenueCategory.OTHER,
         )
-        for index in range(config.venues)
-    ]
-    return users, venues
+
+
+def build_corpus(config: CapacityConfig):
+    """The shared User/Venue rows (built once, loaded into every store)."""
+    return list(iter_users(config.users)), list(iter_venues(config.venues))
 
 
 def build_store(users, venues):
@@ -123,6 +145,49 @@ def build_schedules(config: CapacityConfig) -> List[List[CheckIn]]:
             )
         schedules.append(rows)
     return schedules
+
+
+def measure_footprint(config: CapacityConfig) -> Footprint:
+    """Traced heap growth per row while one fresh store fills up.
+
+    Users, then venues, are streamed into the store, then the config's
+    whole schedule is committed on this thread; the traced growth of each
+    step is divided by its row count.  tracemalloc counts every Python
+    allocation, so the figures are exact even for a corpus small enough
+    that a resident-set delta would be mostly allocator slack, but its
+    per-allocation bookkeeping makes it too heavy for the paper-scale
+    corpus.
+    """
+    tracemalloc.start()
+    try:
+        store = DataStore(metrics=MetricsRegistry())
+        base = tracemalloc.get_traced_memory()[0]
+        for user in iter_users(config.users):
+            store.add_user(user)
+        after_users = tracemalloc.get_traced_memory()[0]
+        for venue in iter_venues(config.venues):
+            store.add_venue(venue)
+        after_venues = tracemalloc.get_traced_memory()[0]
+        schedules = build_schedules(config)
+        for row in itertools.chain.from_iterable(schedules):
+            store.add_checkin_committed(row)
+        del schedules
+        after_checkins = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    checkins = store.checkin_count()
+    return Footprint(
+        checkins=checkins,
+        bytes_per_user=(after_users - base) / max(1, config.users),
+        bytes_per_venue=(after_venues - after_users) / max(1, config.venues),
+        bytes_per_checkin=(after_checkins - after_venues) / max(1, checkins),
+    )
+
+
+def resident_bytes() -> int:
+    """This process's current resident set size (Linux ``/proc``)."""
+    with open("/proc/self/statm", encoding="ascii") as statm:
+        return int(statm.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
 
 
 def _percentile(sorted_values: List[float], fraction: float) -> float:

@@ -106,8 +106,8 @@ def generate_friend_graph(
         first = service.store.get_user(user_a)
         second = service.store.get_user(user_b)
         if first is not None and second is not None:
-            first.friends.add(user_b)
-            second.friends.add(user_a)
+            first.add_friend(user_b)
+            second.add_friend(user_a)
     return SocialGraph(edges=edges)
 
 

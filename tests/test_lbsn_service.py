@@ -118,7 +118,7 @@ class TestRewardPipeline:
         assert user.valid_checkins == 1
         assert user.points == points_before
         assert remote.checkin_count == 0
-        assert remote.recent_visitors == []
+        assert not remote.recent_visitors
 
     def test_same_venue_within_hour_rejected(self, populated):
         service, user, venue = populated

@@ -124,6 +124,47 @@ class TestCheckins:
         assert state() == before
 
 
+class TestReadsNeverInsert:
+    @staticmethod
+    def _state(store):
+        return (
+            store.user_count(),
+            store.checkin_count(),
+            sorted(store._checkins_by_user),
+            sorted(store._checkins_by_venue),
+        )
+
+    def test_reads_of_unknown_and_fresh_ids_change_nothing(self):
+        store = DataStore()
+        store.add_user(make_user(1))
+        store.add_venue(make_venue(1))
+        store.add_checkin_committed(make_checkin(1, user_id=1, venue_id=1))
+        store.add_user(make_user(2))
+        store.add_venue(make_venue(2))
+        before = self._state(store)
+        for unknown in range(1_000, 2_000):
+            assert not store.checkins_of_user(unknown)
+            assert not store.checkins_at_venue(unknown)
+        assert not store.checkins_of_user(2)
+        assert not store.checkins_at_venue(2)
+        assert self._state(store) == before
+
+    def test_first_row_appears_in_the_next_read(self):
+        store = DataStore()
+        store.add_user(make_user(1))
+        store.add_venue(make_venue(5))
+        assert not store.checkins_of_user(1)
+        first = make_checkin(1, user_id=1, venue_id=5)
+        store.add_checkin_committed(first)
+        by_user = store.checkins_of_user(1)
+        assert list(by_user) == [first]
+        assert list(store.checkins_at_venue(5)) == [first]
+        # From its first row on, an id's read is the live list again.
+        second = make_checkin(2, user_id=1, venue_id=5)
+        store.add_checkin_committed(second)
+        assert list(by_user) == [first, second]
+
+
 class TestConcurrency:
     def test_parallel_checkin_inserts(self):
         store = DataStore()

@@ -19,7 +19,7 @@ def site():
         "Ann <script>", username="ann", home_city="Albuquerque, NM"
     )
     friend = service.register_user("Bob")
-    user.friends.add(friend.user_id)
+    user.add_friend(friend.user_id)
     venue = service.create_venue(
         "Taco & Co",
         ABQ,

@@ -108,8 +108,8 @@ class TestFriendshipSignal:
             service.create_venue(f"V{i}", anchor) for i in range(40)
         ]
         # Users 0&1 are friends and move together; everyone else solo.
-        users[0].friends.add(users[1].user_id)
-        users[1].friends.add(users[0].user_id)
+        users[0].add_friend(users[1].user_id)
+        users[1].add_friend(users[0].user_id)
         router = Router()
         LbsnWebServer(service).install_routes(router)
         network = Network(seed=1)

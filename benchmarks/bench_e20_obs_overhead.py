@@ -64,8 +64,8 @@ def _build_service(metrics):
     return service, venues
 
 
-def _run_checkins(service, venues) -> float:
-    """Drive the deterministic workload; returns the check-in wall time.
+def _run_checkins(service, venues, checkins: int) -> float:
+    """Drive ``checkins`` deterministic check-ins; returns their wall time.
 
     The collector is paused for the timed region (after a full collect) so
     GC pauses landing on one side or the other don't masquerade as
@@ -75,7 +75,7 @@ def _run_checkins(service, venues) -> float:
     gc.disable()
     try:
         start = time.perf_counter()
-        for i in range(CHECKINS):
+        for i in range(checkins):
             user_index = i % USERS
             round_index = i // USERS
             venue = venues[user_index][round_index % VENUES_PER_USER]
@@ -108,10 +108,10 @@ def test_e20_obs_overhead(report_out, benchmark):
         tracer = None
         for _ in range(ROUNDS):
             service, venues = _build_service(metrics=None)
-            bare_s = _run_checkins(service, venues)
+            bare_s = _run_checkins(service, venues, CHECKINS)
             registry = MetricsRegistry()
             service, venues = _build_service(metrics=registry)
-            instr_s = _run_checkins(service, venues)
+            instr_s = _run_checkins(service, venues, CHECKINS)
             tracer = service.tracer
             bare_times.append(bare_s)
             instr_times.append(instr_s)

@@ -1,99 +1,46 @@
-"""E24 (extension) — the profiler's own tax, and the health surface.
+"""E24 (extension) — the profiler's own tax, and whether it finds a hotspot.
 
-Three claims, one experiment:
+Two claims, one experiment:
 
 1. **Overhead** — running the sampling profiler at its default rate
    (97 Hz) while the check-in hot path executes costs **< 5%**
-   throughput, measured with the E20 methodology: interleaved
-   (bare, profiled) rounds, GC paused in the timed region, overhead =
-   median of the per-pair time ratios.
+   throughput, measured on E20's tiny-city workload with E20's
+   methodology: interleaved (bare, profiled) rounds, GC paused in the
+   timed region, overhead = median of the per-pair time ratios.
 2. **Attribution** — a planted hot function with a distinctive name
    burns CPU on a worker thread; the profiler must name it in the top-3
    of the hotspot table (ranked by self samples) and in the collapsed
    export.
-3. **Health parity** — ``/debug/health`` served over the simnet stack
-   returns exactly the health score an offline
-   :class:`~repro.obs.slo.SloEngine` computes from the same registry
-   state (the acceptance bar ISSUE 8 pins).
 
-Environment knobs (CI smoke mode uses the first and last):
+Environment knobs (CI smoke mode uses all three):
 
 * ``REPRO_E24_CHECKINS`` — check-ins per round (default 4000).
-* ``REPRO_E24_ROUNDS`` — interleaved rounds per side (default 5).
+* ``REPRO_E24_ROUNDS`` — interleaved rounds per side (default 15: single
+  pair ratios on a shared 2-vCPU host span 0.65–1.7, so the median of
+  five pairs cannot resolve a 5% bar).
 * ``REPRO_E24_MAX_OVERHEAD`` — acceptance bar (default 0.05).  Shared
   CI runners are noisy; the smoke job loosens this rather than
   asserting a tight bound on unreliable hardware.
 """
 
-import gc
-import json
 import os
 import statistics
 import threading
-import time
 
-from repro.geo.coordinates import GeoPoint
-from repro.lbsn.service import LbsnService
-from repro.lbsn.webserver import LbsnWebServer
-from repro.obs import (
-    MetricsRegistry,
-    SamplingProfiler,
-    SloEngine,
-    default_slos,
+from bench_e20_obs_overhead import (
+    USERS,
+    VENUES_PER_USER,
+    _build_service,
+    _run_checkins,
 )
-from repro.simnet.http import HttpTransport, Router
-from repro.simnet.network import Network
+
+from repro.obs import SamplingProfiler
 
 CHECKINS = int(os.environ.get("REPRO_E24_CHECKINS", "4000"))
-ROUNDS = int(os.environ.get("REPRO_E24_ROUNDS", "5"))
+ROUNDS = int(os.environ.get("REPRO_E24_ROUNDS", "15"))
 MAX_OVERHEAD = float(os.environ.get("REPRO_E24_MAX_OVERHEAD", "0.05"))
 
-USERS = 10
-VENUES_PER_USER = 3
-BASE_TS = 1_280_000_000.0  # 2010-07, the thesis's crawl summer
-CHECKIN_SPACING_S = 1_800.0
 ATTRIBUTION_SAMPLES = 300
-
-
-def _build_service(metrics):
-    """The E20 tiny city: every check-in lands on the valid/reward path."""
-    service = LbsnService(metrics=metrics)
-    venues = []
-    for i in range(USERS):
-        service.register_user(f"bench-user-{i}")
-        cluster = []
-        for j in range(VENUES_PER_USER):
-            cluster.append(
-                service.create_venue(
-                    f"bench-venue-{i}-{j}",
-                    GeoPoint(40.0 + i * 0.05 + j * 0.003, -96.0),
-                )
-            )
-        venues.append(cluster)
-    return service, venues
-
-
-def _run_checkins(service, venues) -> float:
-    """The timed region (GC paused; identical on both sides)."""
-    gc.collect()
-    gc.disable()
-    try:
-        start = time.perf_counter()
-        for i in range(CHECKINS):
-            user_index = i % USERS
-            round_index = i // USERS
-            venue = venues[user_index][round_index % VENUES_PER_USER]
-            service.check_in(
-                user_id=user_index + 1,
-                venue_id=venue.venue_id,
-                reported_location=venue.location,
-                timestamp=BASE_TS
-                + round_index * CHECKIN_SPACING_S
-                + user_index,
-            )
-        return time.perf_counter() - start
-    finally:
-        gc.enable()
 
 
 def _e24_planted_hotspot(release: threading.Event) -> int:
@@ -106,18 +53,18 @@ def _e24_planted_hotspot(release: threading.Event) -> int:
     return acc
 
 
-def test_e24_profiler_overhead_and_health(report_out, benchmark):
+def test_e24_profiler_overhead_and_attribution(report_out, benchmark):
     # -- 1. overhead: interleaved bare/profiled pairs -----------------
     def compare():
         pair_ratios, bare_times, prof_times = [], [], []
         for _ in range(ROUNDS):
             service, venues = _build_service(metrics=None)
-            bare_s = _run_checkins(service, venues)
+            bare_s = _run_checkins(service, venues, CHECKINS)
             service, venues = _build_service(metrics=None)
             profiler = SamplingProfiler()  # default 97 Hz
             profiler.start()
             try:
-                prof_s = _run_checkins(service, venues)
+                prof_s = _run_checkins(service, venues, CHECKINS)
             finally:
                 profiler.stop()
             bare_times.append(bare_s)
@@ -164,33 +111,6 @@ def test_e24_profiler_overhead_and_health(report_out, benchmark):
     )
     collapsed = snapshot.collapsed()
 
-    # -- 3. health parity: /debug/health vs the offline engine --------
-    registry = MetricsRegistry()
-    service, venues = _build_service(metrics=registry)
-    for i in range(min(CHECKINS, 500)):
-        user_index = i % USERS
-        round_index = i // USERS
-        venue = venues[user_index][round_index % VENUES_PER_USER]
-        service.check_in(
-            user_id=user_index + 1,
-            venue_id=venue.venue_id,
-            reported_location=venue.location,
-            timestamp=BASE_TS + round_index * CHECKIN_SPACING_S + user_index,
-        )
-    engine = SloEngine(registry, default_slos(), metrics=registry)
-    engine.evaluate()
-    offline = engine.evaluate().health_dict()
-
-    webserver = LbsnWebServer(service, slo=engine)
-    router = Router()
-    webserver.install_routes(router)
-    network = Network(seed=0)
-    transport = HttpTransport(router, network)
-    response = transport.get("/debug/health", network.create_egress())
-    assert response.ok
-    served = json.loads(response.body)
-    parity = served["health_score"] == offline["health_score"]
-
     rows = [
         f"workload: {CHECKINS} check-ins across {USERS} users "
         f"x {VENUES_PER_USER} venues, {ROUNDS} paired rounds, "
@@ -212,12 +132,9 @@ def test_e24_profiler_overhead_and_health(report_out, benchmark):
         f"(self={top3[planted_rank - 1][1] if planted_rank else 0} samples)",
         f"collapsed export: {len(collapsed.splitlines())} folded stacks, "
         f"planted frame present: {'_e24_planted_hotspot' in collapsed}",
-        f"health parity: /debug/health {served['health_score']:.4f} == "
-        f"offline {offline['health_score']:.4f}: {parity} "
-        f"(worst: {served['worst_objective']})",
     ]
     report_out(
-        "E24_profiler_slo",
+        "E24_profiler",
         rows,
         summary={
             "checkins": CHECKINS,
@@ -228,8 +145,6 @@ def test_e24_profiler_overhead_and_health(report_out, benchmark):
             "overhead_median_pair_ratio": round(overhead, 4),
             "max_overhead_bar": MAX_OVERHEAD,
             "planted_hotspot_rank": planted_rank,
-            "health_score": served["health_score"],
-            "health_parity": parity,
         },
     )
 
@@ -238,10 +153,6 @@ def test_e24_profiler_overhead_and_health(report_out, benchmark):
         f"planted hot function missing from top-3: {top3_names}"
     )
     assert "_e24_planted_hotspot" in collapsed
-    assert parity, (
-        f"/debug/health {served['health_score']} != "
-        f"offline {offline['health_score']}"
-    )
     assert overhead < MAX_OVERHEAD, (
         f"profiler overhead {overhead:.1%} exceeds {MAX_OVERHEAD:.0%} bar"
     )

@@ -10,17 +10,18 @@ The subcommands walk the paper's arc end to end on freshly built worlds:
 * ``defend``        — the Chapter-5 verifier comparison table.
 * ``metrics``       — run an instrumented workload, dump the snapshot as
   Prometheus text or JSON (see ``docs/OBSERVABILITY.md``).
-* ``top``           — the same workload, watched live: a refreshing
-  rate dashboard (plus SLO health panel) over a
-  :class:`~repro.obs.TimeSeriesRecorder`.
 * ``profile``       — sample the workload with the wall-clock profiler;
   print the hotspot table, optionally dump collapsed stacks.
-* ``slo``           — evaluate the default objectives against a workload:
-  compliance, error budgets, burn rates, and the health score.
+* ``figures``       — export every figure's data series as CSV.
+* ``chaos``         — the seeded fault storm through every layer (E22).
+* ``snapshot``      — write a partitioned WAL + ledger-snapshot tree.
+* ``adversary``     — cheater rings vs. the honeypot tier (E26).
+* ``wal-replay``    — cold-replay a durable tree; print shard digests.
 
-All commands accept ``--scale`` (fraction of the 2010 corpus) and
-``--seed``; they build their own world, so runs are independent and
-reproducible.  ``repro --version`` prints the library version.
+Every command but ``wal-replay`` accepts ``--scale`` (fraction of the
+2010 corpus) and ``--seed``; they build their own world, so runs are
+independent and reproducible.  ``repro --version`` prints the library
+version.
 """
 
 from __future__ import annotations
@@ -139,30 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
 
-    top = sub.add_parser(
-        "top",
-        help="live rate dashboard over an instrumented workload",
-    )
-    _add_common(top)
-    top.add_argument(
-        "--interval",
-        type=float,
-        default=0.5,
-        help="seconds between dashboard refreshes (default 0.5)",
-    )
-    top.add_argument(
-        "--refreshes",
-        type=int,
-        default=0,
-        help="stop after N refreshes (default 0: until the workload ends)",
-    )
-    top.add_argument(
-        "--rows",
-        type=int,
-        default=12,
-        help="series rows per refresh (default 12)",
-    )
-
     profile = sub.add_parser(
         "profile",
         help="sampling-profile an instrumented workload; hotspot table",
@@ -193,12 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="also write Brendan-Gregg collapsed stacks to PATH",
     )
-
-    slo = sub.add_parser(
-        "slo",
-        help="evaluate the default SLOs against an instrumented workload",
-    )
-    _add_common(slo)
 
     figures = sub.add_parser(
         "figures", help="export every figure's data series as CSV"
@@ -586,9 +557,7 @@ def run_metrics_workload(
         LogHub,
         ProfiledSection,
         SamplingProfiler,
-        SloEngine,
         default_registry,
-        default_slos,
     )
     from repro.stream import EventBus, SuspicionLedger
     from repro.workload import build_web_stack, build_world
@@ -662,12 +631,6 @@ def run_metrics_workload(
     stop_spin.set()
     spinner.join(timeout=5.0)
 
-    # Two SLO evaluation passes (burn windows need at least two points),
-    # read straight off the registry the workload just populated.
-    engine = SloEngine(registry, default_slos(), metrics=registry, log=hub)
-    engine.evaluate()
-    engine.evaluate()
-
     # Scrape the snapshot the way an operator would: over HTTP.
     scrape = stack.transport.get("/metrics", stack.network.create_egress())
     exposition = (
@@ -685,7 +648,7 @@ def cmd_metrics(args) -> int:
         from repro.obs import registry_to_json
 
         # The same serializer behind GET /debug/vars: one parser covers
-        # the CLI, the web route, and the recorder's exports.
+        # the CLI and the web route.
         print(registry_to_json(registry, indent=2))
         return 0
     print(exposition, end="")
@@ -695,122 +658,6 @@ def cmd_metrics(args) -> int:
             print(f"# recent slow spans (worst-case ring, {len(slow)} shown)")
             for record in slow:
                 print(f"#   {record}")
-    return 0
-
-
-def _terminal_width(default: int = 100) -> int:
-    """Current terminal width (falls back when not a tty)."""
-    import shutil
-
-    return shutil.get_terminal_size((default, 24)).columns
-
-
-def _format_top_rows(
-    recorder, limit: int, width: Optional[int] = None
-) -> List[str]:
-    """The dashboard body: busiest series by current per-second rate.
-
-    Every line is clamped to ``width`` columns so a refresh on a narrow
-    terminal never wraps — wrapped rows used to double the frame height
-    and scroll earlier refreshes off screen.
-    """
-    if width is None:
-        width = _terminal_width()
-    width = max(20, width)
-    rows = []
-    for name, labelvalues in recorder.series_keys():
-        latest = recorder.latest(name, labelvalues)
-        if latest is None:
-            continue
-        rate = recorder.rate_per_s(name, labelvalues)
-        label = name if not labelvalues else (
-            name + "{" + ",".join(labelvalues) + "}"
-        )
-        rows.append((rate, latest[1], label))
-    rows.sort(key=lambda row: (-row[0], row[2]))
-    lines = [f"{'rate/s':>12}  {'value':>14}  series"]
-    for rate, value, label in rows[:limit]:
-        lines.append(f"{rate:>12.1f}  {value:>14.1f}  {label}")
-    return [
-        line if len(line) <= width else line[: width - 1] + "…"
-        for line in lines
-    ]
-
-
-def _format_health_panel(report, width: Optional[int] = None) -> List[str]:
-    """The ``repro top`` SLO panel: health score + the worst objective."""
-    if width is None:
-        width = _terminal_width()
-    width = max(20, width)
-    worst = report.status(report.worst) if report.worst else None
-    lines = [f"health {report.health_score:5.1f}/100"]
-    if worst is not None:
-        short = max(worst.burn_rates.values()) if worst.burn_rates else 0.0
-        lines[0] += (
-            f" | worst {worst.name}: budget "
-            f"{worst.budget_remaining:.0%}, burn {short:.1f}x, "
-            f"state {worst.state}"
-        )
-    alerting = [s.name for s in report.statuses if s.state != "ok"]
-    if alerting:
-        lines.append("alerting: " + ", ".join(alerting))
-    return [
-        line if len(line) <= width else line[: width - 1] + "…"
-        for line in lines
-    ]
-
-
-def cmd_top(args) -> int:
-    """Watch an instrumented workload live: rates, not just totals."""
-    import threading
-    import time as _time
-
-    from repro.obs import (
-        MetricsRegistry,
-        SloEngine,
-        TimeSeriesRecorder,
-        default_slos,
-    )
-
-    registry = MetricsRegistry()
-    recorder = TimeSeriesRecorder(registry)
-    engine = SloEngine(registry, default_slos(), metrics=registry)
-    done = threading.Event()
-    failed = []
-
-    def work() -> None:
-        try:
-            run_metrics_workload(
-                scale=args.scale, seed=args.seed, registry=registry
-            )
-        except Exception as exc:  # pragma: no cover - surfaced below
-            failed.append(exc)
-        finally:
-            done.set()
-
-    worker = threading.Thread(target=work, name="top-workload", daemon=True)
-    recorder.sample()
-    worker.start()
-    refreshes = 0
-    width = _terminal_width()
-    while not done.is_set() or refreshes == 0:
-        done.wait(args.interval)
-        recorder.sample()
-        report = engine.evaluate()
-        refreshes += 1
-        print(f"--- repro top: refresh {refreshes} "
-              f"({recorder.samples_taken} samples) ---")
-        for line in _format_health_panel(report, width):
-            print(line)
-        for line in _format_top_rows(recorder, args.rows, width):
-            print(line)
-        if args.refreshes and refreshes >= args.refreshes:
-            break
-    worker.join(timeout=60.0)
-    _time.sleep(0.0)  # yield to let daemon threads settle before exit
-    if failed:
-        print(f"workload failed: {failed[0]}", file=sys.stderr)
-        return 1
     return 0
 
 
@@ -870,34 +717,6 @@ def cmd_profile(args) -> int:
         print(f"workload failed: {failed[0]}", file=sys.stderr)
         return 1
     return 0 if snapshot.stack_samples > 0 else 1
-
-
-def cmd_slo(args) -> int:
-    """Evaluate the default objectives against one instrumented run."""
-    from repro.obs import MetricsRegistry, SloEngine, default_slos
-
-    registry = MetricsRegistry()
-    run_metrics_workload(scale=args.scale, seed=args.seed, registry=registry)
-    engine = SloEngine(registry, default_slos(), metrics=registry)
-    engine.evaluate()
-    report = engine.evaluate()
-    name_width = max(len(s.name) for s in report.statuses)
-    print(
-        f"{'objective':<{name_width}}  {'target':>7}  {'compliance':>10}  "
-        f"{'budget':>7}  {'burn':>8}  state"
-    )
-    for status in report.statuses:
-        burn = max(status.burn_rates.values()) if status.burn_rates else 0.0
-        print(
-            f"{status.name:<{name_width}}  {status.target:>6.1%}  "
-            f"{status.compliance:>9.2%}  {status.budget_remaining:>6.0%}  "
-            f"{burn:>8.2f}  {status.state}"
-        )
-    print(
-        f"health score: {report.health_score:.1f}/100 "
-        f"(worst: {report.worst})"
-    )
-    return 0
 
 
 def cmd_figures(args) -> int:
@@ -1163,9 +982,7 @@ _COMMANDS = {
     "stream-detect": cmd_stream_detect,
     "defend": cmd_defend,
     "metrics": cmd_metrics,
-    "top": cmd_top,
     "profile": cmd_profile,
-    "slo": cmd_slo,
     "figures": cmd_figures,
     "chaos": cmd_chaos,
     "snapshot": cmd_snapshot,

@@ -167,8 +167,7 @@ class _WalMetrics:
         ).child()
         self.fsync_seconds = metrics.histogram(
             "repro_wal_fsync_seconds",
-            "Wall time per WAL fsync batch (flush + fsync); feeds the "
-            "wal-fsync-p99 durability SLO.",
+            "Wall time per WAL fsync batch (flush + fsync).",
         ).child()
         self.segments = metrics.counter(
             "repro_wal_segments_opened_total",

@@ -24,25 +24,22 @@ same simulated HTTP surface the crawler attacks also exposes the telemetry
 an operator would scrape.  Three debug routes complete the picture:
 
 * ``GET /debug/vars`` — the whole registry as JSON (the
-  :func:`~repro.obs.timeseries.registry_to_dict` shape shared with
+  :func:`~repro.obs.metrics.registry_to_dict` shape shared with
   ``repro metrics --format json``).
 * ``GET /debug/traces`` — the service tracer's retained slow spans, each
   with its ``trace_id`` when the instrumented layer propagated one.
 * ``GET /debug/logs?trace_id=&logger=&event=&limit=`` — the structured
   log ring as JSONL, filterable by the same keys
   :meth:`repro.obs.log.LogHub.records` takes; ``?trace_id=`` is the
-  one-request flight-recorder query the obs layer exists for.
+  one-request flight-recorder query the obs layer exists for.  A
+  ``limit`` that is not a non-negative integer answers 400.
 
-When a :class:`~repro.obs.profiler.SamplingProfiler` and/or
-:class:`~repro.obs.slo.SloEngine` are attached, three more routes join:
+When a :class:`~repro.obs.profiler.SamplingProfiler` is attached, one
+more route joins:
 
 * ``GET /debug/profile`` — the profiler snapshot as JSON, or the raw
   Brendan-Gregg collapsed-stack text with ``?format=collapsed`` (pipe it
   straight into a flamegraph renderer).
-* ``GET /debug/slo`` — every objective's compliance, error budget, burn
-  rates, and alert state (one fresh evaluation per request).
-* ``GET /debug/health`` — the weighted health-score roll-up; the same
-  number ``repro slo`` computes offline from the same registry state.
 """
 
 from __future__ import annotations
@@ -57,11 +54,10 @@ from repro.faults.points import POINT_WEB_REQUEST
 from repro.lbsn.models import User, Venue
 from repro.lbsn.service import LbsnService
 from repro.obs.log import LogHub
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, registry_to_dict
 from repro.obs.profiler import SamplingProfiler
-from repro.obs.slo import SloEngine
-from repro.obs.timeseries import registry_to_dict
 from repro.simnet.http import (
+    HTTP_BAD_REQUEST,
     HTTP_GATEWAY_TIMEOUT,
     HTTP_NOT_FOUND,
     HttpRequest,
@@ -102,7 +98,6 @@ class LbsnWebServer:
         log: Optional[LogHub] = None,
         faults: Optional[FaultInjector] = None,
         profiler: Optional[SamplingProfiler] = None,
-        slo: Optional[SloEngine] = None,
     ) -> None:
         self.service = service
         self.show_whos_been_here = show_whos_been_here
@@ -118,8 +113,6 @@ class LbsnWebServer:
         )
         #: Profiler behind ``/debug/profile`` (opt-in, no service default).
         self.profiler = profiler
-        #: SLO engine behind ``/debug/slo`` and ``/debug/health``.
-        self.slo = slo
 
     def install_routes(self, router: Router) -> None:
         """Attach the site's routes (and ``/metrics`` when instrumented)."""
@@ -134,9 +127,6 @@ class LbsnWebServer:
             router.add("GET", r"/debug/logs", self._debug_logs)
         if self.profiler is not None:
             router.add("GET", r"/debug/profile", self._debug_profile)
-        if self.slo is not None:
-            router.add("GET", r"/debug/slo", self._debug_slo)
-            router.add("GET", r"/debug/health", self._debug_health)
 
     # Fault middleware ------------------------------------------------------
 
@@ -227,10 +217,12 @@ class LbsnWebServer:
         params = request.params
         limit: Optional[int] = None
         if params.get("limit"):
-            try:
-                limit = max(1, int(params["limit"]))
-            except ValueError:
-                limit = None
+            if not params["limit"].isdecimal():
+                return HttpResponse(
+                    status=HTTP_BAD_REQUEST,
+                    body="limit must be a non-negative integer",
+                )
+            limit = int(params["limit"])
         records = self.log.records(
             trace_id=params.get("trace_id") or None,
             logger=params.get("logger") or None,
@@ -258,26 +250,6 @@ class LbsnWebServer:
             body=body,
             headers={
                 "Content-Type": content_type,
-                "Content-Length": str(len(body.encode("utf-8"))),
-            },
-        )
-
-    def _debug_slo(self, request: HttpRequest, match) -> HttpResponse:
-        body = json.dumps(self.slo.evaluate().to_dict(), sort_keys=True)
-        return HttpResponse(
-            body=body,
-            headers={
-                "Content-Type": JSON_CONTENT_TYPE,
-                "Content-Length": str(len(body.encode("utf-8"))),
-            },
-        )
-
-    def _debug_health(self, request: HttpRequest, match) -> HttpResponse:
-        body = json.dumps(self.slo.evaluate().health_dict(), sort_keys=True)
-        return HttpResponse(
-            body=body,
-            headers={
-                "Content-Type": JSON_CONTENT_TYPE,
                 "Content-Length": str(len(body.encode("utf-8"))),
             },
         )

@@ -1,4 +1,4 @@
-"""Observability substrate: metrics, tracing, structured logs, history.
+"""Observability substrate: metrics, tracing, structured logs, profiling.
 
 ``repro.obs`` sits at the bottom of the layer stack next to ``repro.geo``
 and ``repro.simnet`` — standard library only, no upward imports — and
@@ -6,7 +6,9 @@ every higher layer takes optional observability handles the way the
 service takes an optional ``event_bus``:
 
 * :mod:`repro.obs.metrics` — Counter/Gauge/Histogram families in a
-  thread-safe :class:`MetricsRegistry`, Prometheus text exposition.
+  thread-safe :class:`MetricsRegistry`, Prometheus text exposition, and
+  the JSON serializer (:func:`registry_to_dict`) behind
+  ``repro metrics --format json`` and ``GET /debug/vars``.
 * :mod:`repro.obs.tracing` — span durations into the registry plus a
   bounded ring of recent slow spans.
 * :mod:`repro.obs.log` — structured JSONL logging: bounded ring, sink
@@ -14,17 +16,9 @@ service takes an optional ``event_bus``:
 * :mod:`repro.obs.context` — :class:`TraceContext` propagation, so one
   ``trace_id`` links a check-in's log records, bus events, detector
   scores, and defense verdicts end to end.
-* :mod:`repro.obs.timeseries` — :class:`TimeSeriesRecorder` snapshots
-  the registry into bounded per-series history rings with delta/rate
-  queries; also home of the shared JSON serializer
-  (:func:`registry_to_dict`) behind ``repro metrics --format json`` and
-  ``GET /debug/vars``.
 * :mod:`repro.obs.profiler` — wall-clock sampling profiler walking
   ``sys._current_frames()``: folded stacks per thread, collapsed-format
   export, top-N hotspot tables, :class:`ProfiledSection` phase tags.
-* :mod:`repro.obs.slo` — declarative service-level objectives over the
-  registry: error budgets, multi-window multi-burn-rate alerting, and a
-  weighted health-score roll-up (``/debug/slo``, ``/debug/health``).
 
 Instrumented layers: :mod:`repro.lbsn` (pipeline outcomes, commit spans,
 store gauges/locks, per-check-in log records), :mod:`repro.stream` (bus
@@ -59,6 +53,8 @@ from repro.obs.metrics import (
     MetricError,
     MetricsRegistry,
     default_registry,
+    registry_to_dict,
+    registry_to_json,
 )
 from repro.obs.profiler import (
     ProfiledSection,
@@ -66,27 +62,6 @@ from repro.obs.profiler import (
     ProfilerError,
     SamplingProfiler,
     fold_stack,
-)
-from repro.obs.slo import (
-    AvailabilityObjective,
-    BurnRatePolicy,
-    LatencyObjective,
-    Objective,
-    ObjectiveStatus,
-    RatioObjective,
-    SloEngine,
-    SloError,
-    SloReport,
-    budget_remaining,
-    burn_rate,
-    default_slos,
-    window_label,
-)
-from repro.obs.timeseries import (
-    TimeSeriesError,
-    TimeSeriesRecorder,
-    registry_to_dict,
-    registry_to_json,
 )
 from repro.obs.tracing import SPAN_HISTOGRAM_NAME, SpanRecord, Tracer
 
@@ -98,6 +73,8 @@ __all__ = [
     "MetricError",
     "MetricsRegistry",
     "default_registry",
+    "registry_to_dict",
+    "registry_to_json",
     "SPAN_HISTOGRAM_NAME",
     "SpanRecord",
     "Tracer",
@@ -114,26 +91,9 @@ __all__ = [
     "LogRecord",
     "StructuredLogger",
     "level_name",
-    "TimeSeriesError",
-    "TimeSeriesRecorder",
-    "registry_to_dict",
-    "registry_to_json",
     "ProfiledSection",
     "ProfileSnapshot",
     "ProfilerError",
     "SamplingProfiler",
     "fold_stack",
-    "AvailabilityObjective",
-    "BurnRatePolicy",
-    "LatencyObjective",
-    "Objective",
-    "ObjectiveStatus",
-    "RatioObjective",
-    "SloEngine",
-    "SloError",
-    "SloReport",
-    "budget_remaining",
-    "burn_rate",
-    "default_slos",
-    "window_label",
 ]

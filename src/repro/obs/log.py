@@ -439,10 +439,13 @@ class LogHub:
     ) -> List[LogRecord]:
         """Ring contents, oldest first, optionally filtered.
 
-        ``limit`` keeps the *newest* matches.  This is the query behind
-        ``GET /debug/logs?trace_id=`` — the one-grep trace reconstruction
-        the module docstring promises.
+        ``limit`` keeps the *newest* matches (``0`` keeps none; a
+        negative count raises :class:`LogError`).  This is the query
+        behind ``GET /debug/logs?trace_id=`` — the one-grep trace
+        reconstruction the module docstring promises.
         """
+        if limit is not None and limit < 0:
+            raise LogError(f"limit must be >= 0: {limit}")
         with self._lock:
             if self._next <= self.ring_size:
                 snapshot = [
@@ -464,7 +467,7 @@ class LogHub:
             and record.level >= min_level
         ]
         if limit is not None:
-            out = out[-limit:]
+            out = out[max(0, len(out) - limit):]
         return out
 
     def export_jsonl(self, records: Optional[Iterable[LogRecord]] = None) -> str:

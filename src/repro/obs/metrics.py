@@ -18,6 +18,10 @@ standard tooling:
 * :class:`Histogram` — an observation distribution over fixed buckets
   (latencies: commit time, lock hold time, fetch time, span durations).
 
+:func:`registry_to_dict` (and :func:`registry_to_json`) serialize the same
+registry as JSON: the one shape behind ``repro metrics --format json`` and
+the ``GET /debug/vars`` route.
+
 Every metric is a *family* that may carry label names; ``labels(...)``
 returns (creating on first use) the child holding the actual value, so
 ``bus_dropped.labels(subscriber="ledger").inc()`` is the idiom throughout.
@@ -41,9 +45,10 @@ Design constraints:
 from __future__ import annotations
 
 import bisect
+import json
 import math
 import threading
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
 
@@ -55,6 +60,8 @@ __all__ = [
     "MetricError",
     "MetricsRegistry",
     "default_registry",
+    "registry_to_dict",
+    "registry_to_json",
     "render_labels",
 ]
 
@@ -538,6 +545,57 @@ class MetricsRegistry:
         for family in self.collect():
             lines.extend(family.render())
         return "\n".join(lines) + ("\n" if lines else "")
+
+
+# ---------------------------------------------------------------------------
+# JSON serialization
+# ---------------------------------------------------------------------------
+
+
+def registry_to_dict(registry: MetricsRegistry) -> Dict[str, Any]:
+    """The whole registry as one JSON-ready mapping.
+
+    Shape::
+
+        {family: {"kind": "counter", "labelnames": ["status"],
+                  "samples": [{"labels": {"status": "valid"},
+                               "value": 4000.0}, ...]}}
+
+    Histogram samples additionally carry ``"sum"`` and ``"buckets"``
+    (cumulative ``{le: count}``); their ``"value"`` is the observation
+    count, matching :meth:`MetricsRegistry.snapshot`.
+    """
+    out: Dict[str, Any] = {}
+    for family in registry.collect():
+        samples: List[Dict[str, Any]] = []
+        for labelvalues, child in family.children():
+            labels = dict(zip(family.labelnames, labelvalues))
+            if family.kind == "histogram":
+                buckets = {
+                    ("+Inf" if bound == float("inf") else repr(bound)): count
+                    for bound, count in child.bucket_counts()
+                }
+                samples.append(
+                    {
+                        "labels": labels,
+                        "value": float(child.count),
+                        "sum": child.sum,
+                        "buckets": buckets,
+                    }
+                )
+            else:
+                samples.append({"labels": labels, "value": child.value})
+        out[family.name] = {
+            "kind": family.kind,
+            "labelnames": list(family.labelnames),
+            "samples": samples,
+        }
+    return out
+
+
+def registry_to_json(registry: MetricsRegistry, indent: Optional[int] = None) -> str:
+    """:func:`registry_to_dict`, rendered to a JSON string."""
+    return json.dumps(registry_to_dict(registry), indent=indent, sort_keys=True)
 
 
 #: The process-default registry the CLI (and anything else that wants a

@@ -191,10 +191,18 @@ class Tracer:
         )
 
     def recent_slow(self, limit: Optional[int] = None) -> List[SpanRecord]:
-        """The most recent slow spans, oldest first."""
+        """The most recent slow spans, oldest first.
+
+        ``limit`` keeps the newest ``limit`` of them (``0`` keeps none; a
+        negative count raises :class:`ValueError`).
+        """
+        if limit is not None and limit < 0:
+            raise ValueError(f"limit must be >= 0: {limit}")
         with self._lock:
             records = list(self._ring)
-        return records if limit is None else records[-limit:]
+        if limit is None:
+            return records
+        return records[max(0, len(records) - limit):]
 
     def slowest(self) -> Optional[SpanRecord]:
         """The slowest span currently retained in the ring."""

@@ -24,6 +24,7 @@ from repro.simnet.network import Egress, Network
 
 HTTP_OK = 200
 HTTP_FOUND = 302
+HTTP_BAD_REQUEST = 400
 HTTP_UNAUTHORIZED = 401
 HTTP_FORBIDDEN = 403
 HTTP_NOT_FOUND = 404

@@ -159,23 +159,6 @@ class TestMetricsCommand:
             build_parser().parse_args(["metrics", "--format", "yaml"])
 
 
-class TestTopCommand:
-    def test_top_defaults(self):
-        args = build_parser().parse_args(["top"])
-        assert args.interval == 0.5
-        assert args.refreshes == 0
-        assert args.rows == 12
-
-    def test_top_renders_rate_dashboard(self, capsys):
-        argv = ["top", "--interval", "0.2", "--refreshes", "2", "--rows", "6"]
-        assert main(argv + SMALL) == 0
-        out = capsys.readouterr().out
-        assert "repro top: refresh 1" in out
-        assert "rate/s" in out and "series" in out
-        # At least one real series row made it onto the board.
-        assert "repro_" in out
-
-
 def _fake_chaos_report(state_digest, sequence_digest="seq-1", suspects=(1,)):
     from repro.workload.chaos import ChaosConfig, ChaosReport
 

@@ -5,9 +5,9 @@ owns, and the exerciser that registers them.  Every row gets the same
 two-way parity check between the doc's ``| `repro_…` `` table rows and
 the registry.  The plain ``repro metrics`` workload runs once per module:
 it is OBSERVABILITY.md's exerciser, and the storm-only families of the
-other rows must never leak into it.  The failure-point table, the
-constants the docs quote, and the anchor and cross-link strings are
-checked from tables too.
+other rows must never leak into it.  The failure-point table, the debug
+route table, the constants the docs quote, and the anchor and
+cross-link strings are checked from tables too.
 """
 
 import re
@@ -35,8 +35,12 @@ from repro.faults.plan import FaultSpec
 from repro.faults.points import POINT_DURABLE_WORKER
 from repro.geo.coordinates import GeoPoint
 from repro.lbsn.service import LbsnService
+from repro.lbsn.webserver import LbsnWebServer
+from repro.obs.log import LogHub
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.profiler import SamplingProfiler
 from repro.simnet.clock import SimClock
+from repro.simnet.http import Router
 from repro.stream.detectors import StreamDetectorConfig
 from repro.stream.events import CheckInAccepted
 
@@ -301,6 +305,24 @@ class TestFailurePointTable:
             "store.commit",
             "web.request",
         }
+
+
+class TestDebugRouteTable:
+    def test_documented_routes_are_the_installed_routes(self):
+        """OBSERVABILITY.md's ``| `GET /debug/…` |`` rows list exactly the
+        debug routes a fully instrumented web server installs."""
+        text = (DOCS / "OBSERVABILITY.md").read_text()
+        documented = set(re.findall(r"^\| `(GET /debug/[^`]*)` \|", text, re.M))
+        metrics = MetricsRegistry()
+        service = LbsnService(metrics=metrics, log=LogHub(metrics=metrics))
+        router = Router()
+        LbsnWebServer(service, profiler=SamplingProfiler()).install_routes(router)
+        installed = {
+            f"{method} {pattern.pattern}"
+            for method, pattern, _ in router._routes
+            if pattern.pattern.startswith("/debug/")
+        }
+        assert documented == installed
 
 
 #: Strings a file must contain, one case per claim: the load-bearing

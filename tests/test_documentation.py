@@ -17,13 +17,15 @@ class TestReadmeQuickstart:
         exec(compile(blocks[0], "<README quickstart>", "exec"), namespace)
 
     def test_cli_commands_documented_exist(self):
-        """Every `python -m repro <cmd>` the README shows is a real command."""
-        from repro.cli import _COMMANDS
+        """The README and the ``repro.cli`` docstring list exactly the
+        real commands: none missing, none stale."""
+        from repro import cli
 
         readme = (REPO / "README.md").read_text()
         documented = set(re.findall(r"python -m repro ([\w-]+)", readme))
-        assert documented
-        assert documented <= set(_COMMANDS)
+        assert documented == set(cli._COMMANDS)
+        listed = set(re.findall(r"^\* ``([\w-]+)``", cli.__doc__, re.M))
+        assert listed == set(cli._COMMANDS)
 
 
 class TestExperimentIndexIntegrity:

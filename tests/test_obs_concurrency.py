@@ -1,16 +1,14 @@
 """Concurrency tests for the observability layer.
 
-Threads hammer the log hub's ring, the metrics registry, and the
-time-series recorder's background sampler simultaneously; nothing may be
-lost, torn, or reordered within a thread, and every exported JSONL line
-must parse on its own.
+Threads hammer the log hub's ring and the metrics registry
+simultaneously; nothing may be lost, torn, or reordered within a thread,
+and every exported JSONL line must parse on its own.
 """
 
 import json
 import threading
-import time
 
-from repro.obs import LogHub, MetricsRegistry, TimeSeriesRecorder
+from repro.obs import LogHub, MetricsRegistry
 from repro.obs.log import DEBUG
 
 THREADS = 8
@@ -94,66 +92,6 @@ class TestLogHubUnderThreads:
         flat = registry.snapshot()["repro_log_records_total"]
         for i in range(THREADS):
             assert flat[(f"worker.{i}", "info")] == float(RECORDS_PER_THREAD)
-
-
-class TestRecorderUnderThreads:
-    def test_background_sampler_races_with_producers(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("t_ticks_total", "Ticks.", ("worker",))
-        children = [counter.labels(str(i)) for i in range(4)]
-
-        def produce(child):
-            for _ in range(1000):
-                child.inc()
-
-        with TimeSeriesRecorder(registry, max_points=10_000).start(
-            interval_s=0.001
-        ) as recorder:
-            threads = [
-                threading.Thread(target=produce, args=(child,))
-                for child in children
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            # Let the sampler tick at least once more, then stop.
-            time.sleep(0.005)
-        recorder.sample()  # final deterministic snapshot
-        for i in range(4):
-            points = recorder.series("t_ticks_total", (str(i),))
-            assert points[-1][1] == 1000.0
-            values = [value for _, value in points]
-            assert values == sorted(values)  # counters never tear backwards
-        assert recorder.samples_taken >= 2
-
-    def test_concurrent_readers_never_crash_the_sampler(self):
-        registry = MetricsRegistry()
-        gauge = registry.gauge("t_depth", "Depth.")
-        recorder = TimeSeriesRecorder(registry, max_points=50)
-        stop = threading.Event()
-        failures = []
-
-        def read_loop():
-            try:
-                while not stop.is_set():
-                    recorder.to_dict()
-                    recorder.delta("t_depth")
-                    recorder.rate_per_s("t_depth")
-            except Exception as exc:  # pragma: no cover - the assertion
-                failures.append(exc)
-
-        readers = [threading.Thread(target=read_loop) for _ in range(2)]
-        for reader in readers:
-            reader.start()
-        for step in range(200):
-            gauge.set(step)
-            recorder.sample(now=float(step))
-        stop.set()
-        for reader in readers:
-            reader.join()
-        assert not failures
-        assert len(recorder.series("t_depth")) == 50
 
 
 class TestLogAndTraceTogether:

@@ -221,6 +221,10 @@ class TestRecordsQuery:
     def test_limit_keeps_newest_matches(self):
         hub = self._hub()
         assert [r.fields["n"] for r in hub.records(limit=2)] == [3, 4]
+        assert [r.fields["n"] for r in hub.records(limit=9)] == [1, 2, 3, 4]
+        assert hub.records(limit=0) == []
+        with pytest.raises(LogError):
+            hub.records(limit=-2)
 
     def test_filters_compose(self):
         hub = self._hub()

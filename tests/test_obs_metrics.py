@@ -1,5 +1,7 @@
-"""Tests for the metrics registry: kinds, labels, exposition, concurrency."""
+"""Tests for the metrics registry: kinds, labels, exposition, the JSON
+serializer, concurrency."""
 
+import json
 import math
 import threading
 
@@ -11,7 +13,7 @@ from repro.obs import (
     MetricsRegistry,
     default_registry,
 )
-from repro.obs.metrics import render_labels
+from repro.obs.metrics import registry_to_dict, registry_to_json, render_labels
 
 
 class TestCounter:
@@ -264,3 +266,52 @@ class TestExposition:
 
     def test_empty_registry_renders_empty_string(self):
         assert MetricsRegistry().render_text() == ""
+
+
+def _registry():
+    registry = MetricsRegistry()
+    checkins = registry.counter(
+        "t_checkins_total", "Check-ins.", ("status",)
+    )
+    depth = registry.gauge("t_queue_depth", "Queue depth.")
+    latency = registry.histogram(
+        "t_latency_seconds", "Latency.", buckets=(0.1, 1.0)
+    )
+    return registry, checkins, depth, latency
+
+
+class TestRegistrySerializer:
+    def test_counter_and_gauge_shapes(self):
+        registry, checkins, depth, _ = _registry()
+        checkins.labels("valid").inc(3)
+        checkins.labels("flagged").inc()
+        depth.set(7)
+        out = registry_to_dict(registry)
+        family = out["t_checkins_total"]
+        assert family["kind"] == "counter"
+        assert family["labelnames"] == ["status"]
+        values = {
+            sample["labels"]["status"]: sample["value"]
+            for sample in family["samples"]
+        }
+        assert values == {"valid": 3.0, "flagged": 1.0}
+        (gauge_sample,) = out["t_queue_depth"]["samples"]
+        assert gauge_sample == {"labels": {}, "value": 7.0}
+
+    def test_histogram_sample_carries_count_sum_buckets(self):
+        registry, _, _, latency = _registry()
+        latency.observe(0.05)
+        latency.observe(0.5)
+        latency.observe(5.0)
+        (sample,) = registry_to_dict(registry)["t_latency_seconds"]["samples"]
+        assert sample["value"] == 3.0  # observation count
+        assert math.isclose(sample["sum"], 5.55)
+        assert sample["buckets"]["0.1"] == 1
+        assert sample["buckets"]["1.0"] == 2  # cumulative
+        assert sample["buckets"]["+Inf"] == 3
+
+    def test_json_round_trips(self):
+        registry, checkins, _, _ = _registry()
+        checkins.labels("valid").inc()
+        parsed = json.loads(registry_to_json(registry, indent=2))
+        assert parsed == registry_to_dict(registry)

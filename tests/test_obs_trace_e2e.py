@@ -36,7 +36,7 @@ from repro.lbsn.webserver import (
 )
 from repro.obs import LogHub, MetricsRegistry
 from repro.obs.log import DEBUG
-from repro.simnet.http import HttpTransport, Router
+from repro.simnet.http import HTTP_BAD_REQUEST, HttpTransport, Router
 from repro.simnet.network import Network
 from repro.stream import CheckInAccepted, EventBus, SuspicionLedger
 
@@ -293,3 +293,10 @@ class TestOperationalRoutes:
         lines = [json.loads(line) for line in response.body.splitlines()]
         assert len(lines) == 5
         assert all(obj["event"] == "checkin" for obj in lines)
+        response = transport.get("/debug/logs", egress, params={"limit": "0"})
+        assert response.ok and response.body == ""
+        for bad in ("ten", "-3", "1.5"):
+            response = transport.get(
+                "/debug/logs", egress, params={"limit": bad}
+            )
+            assert response.status == HTTP_BAD_REQUEST, bad

@@ -101,6 +101,10 @@ class TestSlowRing:
             tracer.record(f"op.{index}", float(index))
         limited = tracer.recent_slow(limit=2)
         assert [record.name for record in limited] == ["op.3", "op.4"]
+        assert len(tracer.recent_slow(limit=9)) == 5
+        assert tracer.recent_slow(limit=0) == []
+        with pytest.raises(ValueError):
+            tracer.recent_slow(limit=-1)
 
     def test_slowest_picks_the_longest_retained(self):
         _, tracer = make_tracer(threshold=0.0)

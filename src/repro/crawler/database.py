@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 import threading
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.crawler.parser import ParsedUser, ParsedVenue
@@ -81,7 +82,9 @@ class CrawlDatabase:
     def __init__(self) -> None:
         self._users: Dict[int, UserInfoRow] = {}
         self._venues: Dict[int, VenueInfoRow] = {}
-        self._recent: Set[RecentCheckinRow] = set()
+        #: RecentCheckin as ``(user_id, venue_id)`` pairs; the public
+        #: :class:`RecentCheckinRow` is built on read.
+        self._recent: Set[Tuple[int, int]] = set()
         #: Ordered "Who's been here" lists, newest visitor first, exactly
         #: as rendered on the venue page at the last upsert.  The snapshot
         #: differ uses the ordering to detect revisits.
@@ -92,47 +95,47 @@ class CrawlDatabase:
 
     def upsert_user(self, parsed: ParsedUser) -> UserInfoRow:
         """Insert or refresh a UserInfo row from a parsed page."""
+        # Rows are built before taking the lock: every crawl thread takes
+        # it once per page.
+        row = UserInfoRow(
+            user_id=parsed.user_id,
+            user_name=parsed.username,
+            display_name=parsed.display_name,
+            home_city=parsed.home_city,
+            total_checkins=parsed.total_checkins,
+            total_badges=parsed.total_badges,
+            points=parsed.points,
+            friend_ids=tuple(parsed.friend_ids),
+        )
         with self._lock:
             existing = self._users.get(parsed.user_id)
-            row = UserInfoRow(
-                user_id=parsed.user_id,
-                user_name=parsed.username,
-                display_name=parsed.display_name,
-                home_city=parsed.home_city,
-                total_checkins=parsed.total_checkins,
-                total_badges=parsed.total_badges,
-                points=parsed.points,
-                recent_checkins=existing.recent_checkins if existing else 0,
-                total_mayors=existing.total_mayors if existing else 0,
-                friend_ids=tuple(parsed.friend_ids),
-            )
+            if existing is not None:
+                row.recent_checkins = existing.recent_checkins
+                row.total_mayors = existing.total_mayors
             self._users[parsed.user_id] = row
             return row
 
     def upsert_venue(self, parsed: ParsedVenue) -> VenueInfoRow:
         """Insert or refresh a VenueInfo row and its RecentCheckin rows."""
+        venue_id = parsed.venue_id
+        row = VenueInfoRow(
+            venue_id=venue_id,
+            name=parsed.name,
+            address=parsed.address,
+            city=parsed.city,
+            latitude=parsed.latitude,
+            longitude=parsed.longitude,
+            mayor_id=parsed.mayor_id,
+            checkins_here=parsed.checkins_here,
+            unique_visitors=parsed.unique_visitors,
+            special=parsed.special,
+            special_mayor_only=parsed.special_mayor_only,
+        )
+        visitors = tuple(parsed.recent_visitor_ids)
         with self._lock:
-            row = VenueInfoRow(
-                venue_id=parsed.venue_id,
-                name=parsed.name,
-                address=parsed.address,
-                city=parsed.city,
-                latitude=parsed.latitude,
-                longitude=parsed.longitude,
-                mayor_id=parsed.mayor_id,
-                checkins_here=parsed.checkins_here,
-                unique_visitors=parsed.unique_visitors,
-                special=parsed.special,
-                special_mayor_only=parsed.special_mayor_only,
-            )
-            self._venues[parsed.venue_id] = row
-            for user_id in parsed.recent_visitor_ids:
-                self._recent.add(
-                    RecentCheckinRow(user_id=user_id, venue_id=parsed.venue_id)
-                )
-            self._recent_lists[parsed.venue_id] = tuple(
-                parsed.recent_visitor_ids
-            )
+            self._venues[venue_id] = row
+            self._recent.update(zip(visitors, repeat(venue_id)))
+            self._recent_lists[venue_id] = visitors
             return row
 
     # Derived columns -------------------------------------------------------
@@ -147,8 +150,8 @@ class CrawlDatabase:
         """
         with self._lock:
             recent_counts: Dict[int, int] = {}
-            for row in self._recent:
-                recent_counts[row.user_id] = recent_counts.get(row.user_id, 0) + 1
+            for user_id, _ in self._recent:
+                recent_counts[user_id] = recent_counts.get(user_id, 0) + 1
             mayor_counts: Dict[int, int] = {}
             for venue in self._venues.values():
                 if venue.mayor_id is not None:
@@ -184,7 +187,10 @@ class CrawlDatabase:
     def recent_checkins(self) -> List[RecentCheckinRow]:
         """Snapshot of all RecentCheckin rows."""
         with self._lock:
-            return list(self._recent)
+            return [
+                RecentCheckinRow(user_id=user_id, venue_id=venue_id)
+                for user_id, venue_id in self._recent
+            ]
 
     def recent_visitor_lists(self) -> Dict[int, List[int]]:
         """Snapshot of all ordered recent-visitor lists."""
@@ -198,7 +204,8 @@ class CrawlDatabase:
         """Venue IDs whose recent-visitor list contains ``user_id``."""
         with self._lock:
             return sorted(
-                row.venue_id for row in self._recent if row.user_id == user_id
+                venue_id for visitor_id, venue_id in self._recent
+                if visitor_id == user_id
             )
 
     def user_count(self) -> int:

@@ -44,6 +44,7 @@ class IdFrontier:
         miss_threshold: int = 200,
     ) -> None:
         self.mode = mode
+        self._path_prefix = mode.path_prefix
         self._next = start
         self._stop_at = stop_at
         self._miss_threshold = miss_threshold
@@ -66,7 +67,7 @@ class IdFrontier:
 
     def url_for(self, profile_id: int) -> str:
         """The profile URL for an ID."""
-        return f"{self.mode.path_prefix}/{profile_id}"
+        return f"{self._path_prefix}/{profile_id}"
 
     def report_hit(self, profile_id: int) -> None:
         """Record that ``profile_id`` resolved to a real profile."""

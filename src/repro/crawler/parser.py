@@ -1,10 +1,20 @@
 """Regex extraction from profile HTML (§3.2).
 
 "To extract data from the HTML source code, we let the crawler perform a
-set of regular expression matches."  The patterns here target the site's
-rendered markup; if the site changes (e.g. the visitor-obfuscation defense
-replaces ``/user/<id>`` links with opaque tokens), extraction degrades
-exactly the way a real crawler's would.
+set of regular expression matches."  Each page is read in one anchored
+pass first: ``_USER_PAGE`` and ``_VENUE_PAGE`` match the whole of what
+the site renders, in every variant it renders, and capture every field
+at once.  Rendered text is HTML-escaped, so a ``[^<]*`` capture cannot
+hold markup and a page that matches the template holds each field's
+markup exactly once; the template's answer is then the one the per-field
+searches below give.
+
+A page the template does not match (a hand-written page, garbage, or a
+site whose markup changed) goes to the per-field searches, one regex per
+field over the whole page.  They are also the reference the tests hold
+the template to.  If the site changes (e.g. the visitor-obfuscation
+defense replaces ``/user/<id>`` links with opaque tokens), extraction
+degrades exactly the way a real crawler's would.
 """
 
 from __future__ import annotations
@@ -40,6 +50,57 @@ _RE_TIP = re.compile(
     r'<li class="tip" data-author="(\d+)">(.*?)</li>', re.S
 )
 _RE_WHOS_BEEN_HERE = re.compile(r'<div class="whos-been-here">')
+
+# The page templates.  The title is the only text before the id
+# attribute, so it also excludes quotes: a title holding
+# ``data-user-id="…"`` would be the per-field search's first match.
+_PAGE_HEAD = (
+    r'<!DOCTYPE html>\n<html><head><title>[^<"]*</title></head>\n<body>\n'
+)
+_PAGE_TAIL = r"\n</div>\n</body></html>"
+
+_USER_PAGE = re.compile(
+    _PAGE_HEAD
+    + r'<div class="profile" data-user-id="(\d+)">\n'
+    r'  <h1 class="fn">([^<]*)</h1>\n'
+    # A username outside the reference's character class parses as None.
+    r'  (?:<div class="username">@(?:([A-Za-z0-9_\-]+)|[^<]*)</div>)?\n'
+    r'  <div class="homecity">([^<]*)</div>\n'
+    r'  <div class="stats">\n'
+    r'    <span class="checkin-count">(\d+)</span> check-ins\n'
+    r'    <span class="badge-count">(\d+)</span> badges\n'
+    r'    <span class="points">(\d+)</span> points\n'
+    r'  </div>\n'
+    r'  <ul class="badges">(?:<li class="badge">[^<]*</li>)*</ul>\n'
+    r'  <div class="friends">'
+    r'((?:<a class="friend" href="/user/\d+">user \d+</a>)*)</div>'
+    + _PAGE_TAIL
+)
+
+_VENUE_PAGE = re.compile(
+    _PAGE_HEAD
+    + r'<div class="venue" data-venue-id="(\d+)">\n'
+    r'  <h1 class="venue-name">([^<]*)</h1>\n'
+    r'  <div class="address">([^<]*)</div>\n'
+    r'  <div class="city">([^<]*)</div>\n'
+    r'  <div class="geo">\n'
+    r'    <span class="latitude">(-?[\d.]+)</span>\n'
+    r'    <span class="longitude">(-?[\d.]+)</span>\n'
+    r'  </div>\n'
+    r'  <div class="stats">\n'
+    r'    <span class="checkins-here">(\d+)</span> check-ins from\n'
+    r'    <span class="unique-visitors">(\d+)</span> visitors\n'
+    r'  </div>\n'
+    r'  <div class="mayor-box">(?:<a class="mayor" href="/user/(\d+)">'
+    r'user \d+</a>|<span class="mayor none">No mayor yet</span>)</div>\n'
+    r'  (?:<div class="special (mayor-only|unlocked)">([^<]*)</div>)?\n'
+    r"  (<div class=\"whos-been-here\"><h2>Who's been here</h2>"
+    r'((?:<a class="visitor" href="/user/\d+">user \d+</a>'
+    r'|<span class="visitor">[^<]*</span>)*)</div>)?\n'
+    r'  <ul class="tips">'
+    r'((?:<li class="tip" data-author="\d+">[^<]*</li>)*)</ul>'
+    + _PAGE_TAIL
+)
 
 
 @dataclass
@@ -89,8 +150,76 @@ def _optional(pattern: re.Pattern, page: str) -> Optional[str]:
     return None if match is None else match.group(1)
 
 
+def _coordinate(text: str, what: str) -> float:
+    """``float(text)``, failing the page on text like ``1.5.0``.
+
+    The coordinate patterns admit such text, and a ``ValueError`` escaping
+    the parser would end the crawl thread that read the page.
+    """
+    try:
+        return float(text)
+    except ValueError:
+        raise CrawlError(f"could not parse {what} {text!r} from page") from None
+
+
 def parse_user_page(page: str) -> ParsedUser:
     """Extract a :class:`ParsedUser` from profile HTML."""
+    match = _USER_PAGE.fullmatch(page)
+    if match is None:
+        return _parse_user_fields(page)
+    user_id, name, username, home_city, checkins, badges, points, friends = (
+        match.groups()
+    )
+    return ParsedUser(
+        user_id=int(user_id),
+        display_name=html.unescape(name.strip()),
+        username=username,
+        home_city=html.unescape(home_city.strip()),
+        total_checkins=int(checkins),
+        total_badges=int(badges),
+        points=int(points),
+        friend_ids=[int(fid) for fid in _RE_FRIEND.findall(friends)],
+    )
+
+
+def parse_venue_page(page: str) -> ParsedVenue:
+    """Extract a :class:`ParsedVenue` from venue HTML."""
+    match = _VENUE_PAGE.fullmatch(page)
+    if match is None:
+        return _parse_venue_fields(page)
+    (
+        venue_id, name, address, city, latitude, longitude, checkins_here,
+        unique_visitors, mayor_id, special_kind, special_text, whos_been_here,
+        visitors, tips,
+    ) = match.groups()
+    return ParsedVenue(
+        venue_id=int(venue_id),
+        name=html.unescape(name.strip()),
+        address=html.unescape(address.strip()),
+        city=html.unescape(city.strip()),
+        latitude=_coordinate(latitude, "latitude"),
+        longitude=_coordinate(longitude, "longitude"),
+        checkins_here=int(checkins_here),
+        unique_visitors=int(unique_visitors),
+        mayor_id=None if mayor_id is None else int(mayor_id),
+        special=(
+            None if special_text is None
+            else html.unescape(special_text.strip())
+        ),
+        special_mayor_only=special_kind == "mayor-only",
+        recent_visitor_ids=[
+            int(uid) for uid in _RE_VISITOR.findall(visitors or "")
+        ],
+        has_whos_been_here=whos_been_here is not None,
+        tips=[
+            (int(author), html.unescape(text.strip()))
+            for author, text in _RE_TIP.findall(tips)
+        ],
+    )
+
+
+def _parse_user_fields(page: str) -> ParsedUser:
+    """The per-field searches: one regex per field over the whole page."""
     return ParsedUser(
         user_id=int(_required(_RE_USER_ID, page, "user id")),
         display_name=html.unescape(
@@ -107,30 +236,31 @@ def parse_user_page(page: str) -> ParsedUser:
     )
 
 
-def parse_venue_page(page: str) -> ParsedVenue:
-    """Extract a :class:`ParsedVenue` from venue HTML."""
+def _parse_venue_fields(page: str) -> ParsedVenue:
+    """The per-field searches: one regex per field over the whole page."""
     special_match = _RE_SPECIAL.search(page)
     special_text: Optional[str] = None
     special_mayor_only = False
     if special_match is not None:
         special_mayor_only = special_match.group(1) == "mayor-only"
         special_text = html.unescape(special_match.group(2).strip())
+    mayor_id = _optional(_RE_MAYOR, page)
     return ParsedVenue(
         venue_id=int(_required(_RE_VENUE_ID, page, "venue id")),
         name=html.unescape(_required(_RE_VENUE_NAME, page, "venue name").strip()),
         address=html.unescape((_optional(_RE_ADDRESS, page) or "").strip()),
         city=html.unescape((_optional(_RE_CITY, page) or "").strip()),
-        latitude=float(_required(_RE_LATITUDE, page, "latitude")),
-        longitude=float(_required(_RE_LONGITUDE, page, "longitude")),
+        latitude=_coordinate(
+            _required(_RE_LATITUDE, page, "latitude"), "latitude"
+        ),
+        longitude=_coordinate(
+            _required(_RE_LONGITUDE, page, "longitude"), "longitude"
+        ),
         checkins_here=int(_required(_RE_CHECKINS_HERE, page, "check-ins here")),
         unique_visitors=int(
             _required(_RE_UNIQUE_VISITORS, page, "unique visitors")
         ),
-        mayor_id=(
-            int(_optional(_RE_MAYOR, page))
-            if _RE_MAYOR.search(page)
-            else None
-        ),
+        mayor_id=None if mayor_id is None else int(mayor_id),
         special=special_text,
         special_mayor_only=special_mayor_only,
         recent_visitor_ids=[int(uid) for uid in _RE_VISITOR.findall(page)],

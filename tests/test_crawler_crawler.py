@@ -1,12 +1,19 @@
 """Integration tests: the crawler against the live simulated site."""
 
+import re
+import threading
+
 import pytest
 
 from repro.crawler.crawler import MultiThreadedCrawler
 from repro.crawler.database import CrawlDatabase
 from repro.crawler.frontier import CrawlMode
 from repro.errors import CrawlError
-from repro.simnet.http import HTTP_FORBIDDEN, HttpResponse
+from repro.geo import GeoPoint
+from repro.lbsn import LbsnService
+from repro.lbsn.webserver import LbsnWebServer
+from repro.simnet.http import HTTP_FORBIDDEN, HttpResponse, HttpTransport, Router
+from repro.simnet.network import Network
 
 
 class TestFullCrawl:
@@ -110,6 +117,45 @@ class TestCrawlerMechanics:
         assert crawler.aborted
         assert stats.failures >= 50
         assert stats.hits == 0
+
+    def test_malformed_number_is_a_parse_failure(self, monkeypatch):
+        # A latitude float() rejects must not kill the worker thread: the
+        # page counts as one failure and the crawl goes on to the next ID.
+        service = LbsnService()
+        for index in range(5):
+            service.create_venue(f"V{index}", GeoPoint(35.0 + index, -106.0))
+        webserver = LbsnWebServer(service)
+        router = Router()
+        webserver.install_routes(router)
+        network = Network(seed=1)
+        transport = HttpTransport(router, network)
+
+        def bad_latitude_on_page_2(request):
+            if request.path != "/venue/2":
+                return None
+            page = router.dispatch(request).body
+            return HttpResponse(body=re.sub(
+                r'(<span class="latitude">)[^<]*', r"\g<1>1.5.0", page
+            ))
+
+        transport.add_middleware(bad_latitude_on_page_2)
+        uncaught = []
+        monkeypatch.setattr(threading, "excepthook", uncaught.append)
+        database = CrawlDatabase()
+        crawler = MultiThreadedCrawler(
+            transport,
+            database,
+            CrawlMode.VENUE,
+            [network.create_egress()],
+            threads_per_machine=1,
+            stop_at=5,
+        )
+        stats = crawler.run()
+        assert uncaught == []
+        assert database.venue_count() == 4
+        assert database.venue(2) is None
+        assert stats.failures == 1
+        assert stats.hits == 4
 
     def test_invalid_construction(self, world, web_stack):
         with pytest.raises(CrawlError):

@@ -535,8 +535,8 @@ def run_metrics_workload(
     builder (lbsn + store + stream + ledger), all of it logging through
     one :class:`~repro.obs.log.LogHub`, a two-pass crawl of its web
     surface (crawler + fetcher), an inline-defense pass (verdict counters
-    + check latency + action tally), an Appendix-A-style worker pool, and
-    a ``GET /metrics`` scrape over the simulated HTTP transport.
+    + check latency + action tally), and a ``GET /metrics`` scrape over
+    the simulated HTTP transport.
 
     Returns ``(registry, exposition, tracer)`` where ``exposition`` is the
     text served by the ``/metrics`` route at the end of the run.
@@ -544,7 +544,6 @@ def run_metrics_workload(
     import threading
 
     from repro.crawler import crawl_full_site
-    from repro.crawler.worker import WorkerPool
     from repro.defense import (
         DefendedLbsnService,
         DeviceRegistry,
@@ -594,17 +593,6 @@ def run_metrics_workload(
         user.user_id, destination_point(venue.location, 90.0, 300_000.0)
     )
     defended.check_in(user.user_id, venue.venue_id, venue.location)
-
-    # The Appendix-A worker pool, over a trivial in-memory work source.
-    items = list(range(64))
-    def drain() -> Optional[bool]:
-        try:
-            items.pop()
-        except IndexError:
-            return None
-        return True
-
-    WorkerPool(drain, threads=4, metrics=registry).run()
 
     # A short profiled burst: one helper thread spins inside a tagged
     # section while this thread drives synchronous sampling passes, so

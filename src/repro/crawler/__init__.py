@@ -16,7 +16,7 @@ from repro.crawler.parser import (
     parse_user_page,
     parse_venue_page,
 )
-from repro.crawler.worker import AppendixAController, WorkerPool, WorkerStats
+from repro.crawler.worker import AppendixAController, WorkerStats
 
 __all__ = [
     "CrawlStats",
@@ -35,7 +35,6 @@ __all__ = [
     "parse_user_page",
     "parse_venue_page",
     "AppendixAController",
-    "WorkerPool",
     "WorkerStats",
 ]
 

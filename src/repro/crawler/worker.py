@@ -6,11 +6,8 @@ one crawling thread per URL until the desired count is reached, and a
 ``ThreadTerminated`` callback that decrements the counter, records
 processed/failed totals, and tops the pool back up.
 :class:`AppendixAController` is a faithful Python port of that design —
-one short-lived thread per page.
-
-:class:`WorkerPool` is the practical equivalent used by the throughput
-experiments: the same concurrency semantics with long-lived workers, which
-avoids per-page thread-spawn overhead.  Both are exercised by tests.
+one short-lived thread per page.  The crawls themselves run
+:class:`~repro.crawler.crawler.MultiThreadedCrawler`'s own thread loop.
 """
 
 from __future__ import annotations
@@ -20,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.errors import CrawlError
-from repro.obs.metrics import MetricsRegistry
 
 #: A unit of work: returns True on success, False on failure, and None
 #: when there is no work left (the frontier is exhausted).
@@ -29,21 +25,10 @@ WorkItem = Callable[[], Optional[bool]]
 
 @dataclass
 class WorkerStats:
-    """Counters shared by both controller styles."""
+    """Items the controller's threads processed, and how many failed."""
 
     processed: int = 0
     failed: int = 0
-
-
-def _worker_items_counter(metrics: Optional[MetricsRegistry]):
-    """The ``repro_crawler_worker_items_total{outcome}`` family, or None."""
-    if metrics is None:
-        return None
-    return metrics.counter(
-        "repro_crawler_worker_items_total",
-        "Work items completed by pool/controller threads, by outcome.",
-        ("outcome",),
-    )
 
 
 class AppendixAController:
@@ -55,12 +40,7 @@ class AppendixAController:
     GUI thread-count spinner) is :attr:`desired_threads`.
     """
 
-    def __init__(
-        self,
-        work: WorkItem,
-        desired_threads: int = 14,
-        metrics: Optional[MetricsRegistry] = None,
-    ) -> None:
+    def __init__(self, work: WorkItem, desired_threads: int = 14) -> None:
         if desired_threads < 1:
             raise CrawlError(f"need at least one thread: {desired_threads}")
         self._work = work
@@ -69,7 +49,6 @@ class AppendixAController:
         self._thread_count = 0
         self._running = False
         self.stats = WorkerStats()
-        self._items_metric = _worker_items_counter(metrics)
         self._all_done = threading.Event()
 
     def start(self) -> None:
@@ -128,58 +107,8 @@ class AppendixAController:
                 self.stats.processed += 1
                 if not outcome:
                     self.stats.failed += 1
-                if self._items_metric is not None:
-                    self._items_metric.labels(
-                        "ok" if outcome else "failed"
-                    ).inc()
             relaunch = self._running
             if not self._running and self._thread_count == 0:
                 self._all_done.set()
         if relaunch:
             self._start_threads()
-
-
-class WorkerPool:
-    """Long-lived worker threads draining the same :data:`WorkItem`."""
-
-    def __init__(
-        self,
-        work: WorkItem,
-        threads: int = 14,
-        metrics: Optional[MetricsRegistry] = None,
-    ) -> None:
-        if threads < 1:
-            raise CrawlError(f"need at least one thread: {threads}")
-        self._work = work
-        self.threads = threads
-        self.stats = WorkerStats()
-        self._items_metric = _worker_items_counter(metrics)
-        self._mutex = threading.Lock()
-        self._pool: list = []
-
-    def run(self) -> WorkerStats:
-        """Run until the work source is exhausted; blocks until done."""
-        self._pool = [
-            threading.Thread(target=self._worker, daemon=True)
-            for _ in range(self.threads)
-        ]
-        for thread in self._pool:
-            thread.start()
-        for thread in self._pool:
-            thread.join()
-        return self.stats
-
-    def _worker(self) -> None:
-        while True:
-            try:
-                outcome = self._work()
-            except Exception:
-                outcome = False
-            if outcome is None:
-                return
-            with self._mutex:
-                self.stats.processed += 1
-                if not outcome:
-                    self.stats.failed += 1
-            if self._items_metric is not None:
-                self._items_metric.labels("ok" if outcome else "failed").inc()

@@ -43,7 +43,7 @@ from repro.lbsn.models import Special, VenueCategory
 from repro.lbsn.service import LbsnService
 from repro.obs.log import LogHub
 from repro.obs.metrics import MetricsRegistry
-from repro.stream.bus import BackpressurePolicy, EventBus
+from repro.stream.bus import EventBus
 from repro.stream.events import CheckInEvent, StreamEvent
 
 #: Reason recorded on ledger pins and flag records for honeypot hits.
@@ -245,22 +245,10 @@ class HoneypotRegistry:
             )
 
     def attach(
-        self,
-        bus: EventBus,
-        name: str = "honeypot-registry",
-        *,
-        background: bool = False,
-        queue_size: int = 4096,
-        policy: BackpressurePolicy = BackpressurePolicy.BLOCK,
+        self, bus: EventBus, name: str = "honeypot-registry"
     ) -> "HoneypotRegistry":
         """Subscribe this registry to a bus; returns self for chaining."""
-        bus.subscribe(
-            name,
-            self.on_event,
-            background=background,
-            queue_size=queue_size,
-            policy=policy,
-        )
+        bus.subscribe(name, self.on_event)
         return self
 
     # Read side ----------------------------------------------------------

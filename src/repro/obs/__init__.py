@@ -11,8 +11,8 @@ service takes an optional ``event_bus``:
   ``repro metrics --format json`` and ``GET /debug/vars``.
 * :mod:`repro.obs.tracing` — span durations into the registry plus a
   bounded ring of recent slow spans.
-* :mod:`repro.obs.log` — structured JSONL logging: bounded ring, sink
-  fan-out, per-logger level/sampling (:class:`LogHub`).
+* :mod:`repro.obs.log` — structured JSONL logging: a bounded ring and
+  per-logger levels (:class:`LogHub`).
 * :mod:`repro.obs.context` — :class:`TraceContext` propagation, so one
   ``trace_id`` links a check-in's log records, bus events, detector
   scores, and defense verdicts end to end.

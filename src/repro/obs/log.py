@@ -3,11 +3,10 @@
 Metrics (PR 2) answer "how many / how fast"; the log answers "what
 happened to *this* request".  Every instrumented layer emits structured
 records — an event name plus typed fields, one JSON object per line —
-into a shared :class:`LogHub` that keeps a bounded in-memory ring and
-fans lines out to any registered sinks.  Because every record carries the
-request's ``trace_id`` (see :mod:`repro.obs.context`), one grep of the
-exported JSONL reconstructs a check-in's whole life: verify → commit →
-publish → detect → flag.
+into a shared :class:`LogHub` that keeps a bounded in-memory ring.
+Because every record carries the request's ``trace_id`` (see
+:mod:`repro.obs.context`), one grep of the exported JSONL reconstructs a
+check-in's whole life: verify → commit → publish → detect → flag.
 
 Design constraints, matching the rest of :mod:`repro.obs`:
 
@@ -16,17 +15,13 @@ Design constraints, matching the rest of :mod:`repro.obs`:
 2. **Cheap when present.**  The hot path builds one small dict and
    packs one tuple into a preallocated ring slot — :class:`LogRecord`
    construction and JSON serialisation are both *lazy* (materialised at
-   read/sink time, not at record time), which is what keeps the E21
-   bench under its 5% bar.  Suppressed records (level/sampling) cost one
+   read time, not at record time), which is what keeps the E21 bench
+   under its 5% bar.  A record below its logger's level costs one
    integer compare.
-3. **Thread-safe.**  The ring append and sink fan-out run under one hub
-   lock; per-logger state (the sampling counter) is GIL-atomic.
+3. **Thread-safe.**  The ring append runs under one hub lock.
 4. **No dependencies.**  ``json`` + ``threading`` + ``time`` only.
 
 Levels are integers mirroring :mod:`logging` (DEBUG=10 … ERROR=40).
-Sampling is *deterministic stride* sampling per logger: ``sample=0.1``
-keeps every 10th DEBUG/INFO record (warnings and errors are never
-sampled away), so tests and replays see the same kept set every run.
 """
 
 from __future__ import annotations
@@ -34,7 +29,7 @@ from __future__ import annotations
 import json
 import threading
 import time
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
 from repro.errors import ReproError
 
@@ -53,7 +48,7 @@ __all__ = [
 
 
 class LogError(ReproError):
-    """Misuse of the logging API (bad levels, bad sample rates)."""
+    """Misuse of the logging API (bad levels, bad ring sizes, bad limits)."""
 
 
 DEBUG = 10
@@ -144,42 +139,20 @@ class LogRecord:
         )
 
 
-#: A sink receives every *kept* record.  Sinks run under the hub lock in
-#: registration order; a raising sink is counted, never propagated.
-LogSink = Callable[[LogRecord], None]
-
-
 class StructuredLogger:
-    """A named logger bound to a hub, with its own level and sampling.
+    """A named logger bound to a hub, with its own level.
 
     Obtained via :meth:`LogHub.logger`; loggers are cached per name so
     every component naming ``"lbsn.service"`` shares one instance (and
-    one level/sampling configuration).
-
-    ``sample`` is the kept fraction for records *below* WARNING:
-    deterministic stride sampling keeps record ``i`` when the integer
-    part of ``i * sample`` advances, so ``sample=0.25`` keeps exactly one
-    in four.  WARNING and ERROR records always pass.
+    one level).
     """
 
-    __slots__ = ("name", "hub", "level", "sample", "_seen", "_bound")
+    __slots__ = ("name", "hub", "level")
 
-    def __init__(
-        self,
-        name: str,
-        hub: "LogHub",
-        level: Optional[int] = None,
-        sample: float = 1.0,
-        bound: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        if not (0.0 < sample <= 1.0):
-            raise LogError(f"sample must be in (0, 1]: {sample}")
+    def __init__(self, name: str, hub: "LogHub") -> None:
         self.name = name
         self.hub = hub
-        self.level = level  # None → inherit the hub level.
-        self.sample = sample
-        self._seen = 0
-        self._bound = bound or {}
+        self.level: Optional[int] = None  # None → inherit the hub level.
 
     # Configuration -----------------------------------------------------
 
@@ -188,26 +161,6 @@ class StructuredLogger:
         self.level = None if level is None else _coerce_level(level)
         return self
 
-    def set_sample(self, sample: float) -> "StructuredLogger":
-        """Set the kept fraction for sub-WARNING records."""
-        if not (0.0 < sample <= 1.0):
-            raise LogError(f"sample must be in (0, 1]: {sample}")
-        self.sample = sample
-        return self
-
-    def bind(self, **fields: Any) -> "StructuredLogger":
-        """A child logger that stamps ``fields`` onto every record.
-
-        The child shares this logger's hub and configuration by value;
-        it is *not* registered in the hub's cache (binding is a local
-        convenience, not a new configuration scope).
-        """
-        merged = dict(self._bound)
-        merged.update(fields)
-        return StructuredLogger(
-            self.name, self.hub, self.level, self.sample, merged
-        )
-
     # Emission ----------------------------------------------------------
 
     def enabled_for(self, level: int) -> bool:
@@ -215,34 +168,19 @@ class StructuredLogger:
         threshold = self.level if self.level is not None else self.hub.level
         return level >= threshold
 
-    def log(self, level: int, event: str, **fields: Any) -> bool:
+    def _log(self, level: int, event: str, fields: Dict[str, Any]) -> bool:
         """Emit one record; returns True when it was kept.
 
         The fast-rejection path (level below threshold) is one attribute
         read and one compare — cheap enough to leave DEBUG calls on hot
-        paths unconditionally.
+        paths unconditionally.  Takes ownership of ``fields`` (a fresh
+        kwargs dict at every call site) — avoiding a second ``**``-repack
+        is a measurable slice of the E21 budget.
         """
-        return self._log(level, event, fields)
-
-    def _log(self, level: int, event: str, fields: Dict[str, Any]) -> bool:
-        # Takes ownership of ``fields`` (a fresh kwargs dict at every call
-        # site) — avoiding a second ``**``-repack is a measurable slice of
-        # the E21 budget.
         hub = self.hub
         threshold = self.level if self.level is not None else hub.level
         if level < threshold:
             return False
-        if level < WARNING and self.sample < 1.0:
-            # Deterministic stride sampling (GIL-atomic increment; an
-            # occasional racy double-count only shifts the stride phase).
-            seen = self._seen = self._seen + 1
-            if int(seen * self.sample) == int((seen - 1) * self.sample):
-                hub._count_suppressed()
-                return False
-        if self._bound:
-            merged = dict(self._bound)
-            merged.update(fields)
-            fields = merged
         hub._emit(time.time(), level, self.name, event, fields)
         return True
 
@@ -255,16 +193,16 @@ class StructuredLogger:
         return self._log(INFO, event, fields)
 
     def warning(self, event: str, **fields: Any) -> bool:
-        """Emit at WARNING (never sampled away)."""
+        """Emit at WARNING."""
         return self._log(WARNING, event, fields)
 
     def error(self, event: str, **fields: Any) -> bool:
-        """Emit at ERROR (never sampled away)."""
+        """Emit at ERROR."""
         return self._log(ERROR, event, fields)
 
 
 class LogHub:
-    """Bounded ring + sink fan-out shared by every logger in a process.
+    """Bounded record ring shared by every logger in a process.
 
     Parameters
     ----------
@@ -296,9 +234,6 @@ class LogHub:
         #: objects are materialised on read (see :meth:`_emit`).
         self._ring: List[Optional[tuple]] = [None] * ring_size
         self._next = 0  # total records ever kept (ring head = _next - 1)
-        self._suppressed = 0
-        self._sink_errors = 0
-        self._sinks: List[LogSink] = []
         self._loggers: Dict[str, StructuredLogger] = {}
         self._records_metric = None
         #: Pre-bound counter children keyed by (logger, level): the
@@ -314,15 +249,10 @@ class LogHub:
 
     # Logger management -------------------------------------------------
 
-    def logger(
-        self,
-        name: str,
-        level=None,
-        sample: Optional[float] = None,
-    ) -> StructuredLogger:
+    def logger(self, name: str, level=None) -> StructuredLogger:
         """The (cached) logger registered under ``name``.
 
-        ``level``/``sample`` apply on first creation *or* re-configure an
+        ``level`` applies on first creation *or* re-configures an
         existing logger when passed explicitly — so tests can turn one
         subsystem to DEBUG without touching the rest.
         """
@@ -333,8 +263,6 @@ class LogHub:
                 self._loggers[name] = logger
         if level is not None:
             logger.set_level(level)
-        if sample is not None:
-            logger.set_sample(sample)
         return logger
 
     def set_level(self, level) -> None:
@@ -345,26 +273,6 @@ class LogHub:
         """Names of every logger created so far, sorted."""
         with self._lock:
             return sorted(self._loggers)
-
-    # Sinks ---------------------------------------------------------------
-
-    def add_sink(self, sink: LogSink) -> None:
-        """Register a sink receiving every kept record."""
-        with self._lock:
-            self._sinks.append(sink)
-
-    def add_jsonl_sink(self, write: Callable[[str], Any]) -> None:
-        """Register a line-oriented sink (e.g. ``file.write``).
-
-        Each kept record is rendered to one JSONL line (with trailing
-        newline) and handed to ``write``.
-        """
-        self.add_sink(lambda record: write(record.to_json() + "\n"))
-
-    @property
-    def sink_errors(self) -> int:
-        """Sink invocations that raised (swallowed and counted)."""
-        return self._sink_errors
 
     # Emission ------------------------------------------------------------
 
@@ -378,19 +286,12 @@ class LogHub:
     ) -> None:
         # The ring stores bare 5-tuples, not LogRecord objects: record
         # construction is deferred to the (cold) read side, so the hot
-        # path pays one tuple pack — unless a sink needs the record now.
+        # path pays one tuple pack.
         with self._lock:
             self._ring[self._next % self.ring_size] = (
                 ts, level, logger, event, fields,
             )
             self._next += 1
-            if self._sinks:
-                record = LogRecord(ts, level, logger, event, fields)
-                for sink in self._sinks:
-                    try:
-                        sink(record)
-                    except Exception:  # noqa: BLE001 - a broken sink must
-                        self._sink_errors += 1  # never break the hot path.
         if self._records_metric is not None:
             # Dict get on a tuple key is GIL-atomic; a racy first miss
             # just resolves the same child twice (labels() caches).
@@ -403,9 +304,6 @@ class LogHub:
                 self._metric_children[key] = child
             child.inc()
 
-    def _count_suppressed(self) -> None:
-        self._suppressed += 1
-
     # Read side -----------------------------------------------------------
 
     @property
@@ -413,11 +311,6 @@ class LogHub:
         """Total records kept since construction (ring + fallen-off)."""
         with self._lock:
             return self._next
-
-    @property
-    def suppressed(self) -> int:
-        """Records discarded by sampling."""
-        return self._suppressed
 
     @property
     def dropped(self) -> int:

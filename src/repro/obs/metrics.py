@@ -13,8 +13,8 @@ standard tooling:
 
 * :class:`Counter` — a monotonically increasing total (events published,
   pages fetched, check-ins denied per rule).
-* :class:`Gauge` — a value that goes up and down (entity counts, queue
-  depths, current suspects).
+* :class:`Gauge` — a value that goes up and down (entity counts, current
+  suspects).
 * :class:`Histogram` — an observation distribution over fixed buckets
   (latencies: commit time, lock hold time, fetch time, span durations).
 
@@ -24,7 +24,7 @@ the ``GET /debug/vars`` route.
 
 Every metric is a *family* that may carry label names; ``labels(...)``
 returns (creating on first use) the child holding the actual value, so
-``bus_dropped.labels(subscriber="ledger").inc()`` is the idiom throughout.
+``bus_delivered.labels(subscriber="ledger").inc()`` is the idiom throughout.
 Families without label names expose the child API directly
 (``published.inc()``).
 
@@ -36,9 +36,10 @@ Design constraints:
 2. **Cheap when present.**  A child increment is one lock acquisition and
    one float add; the E20 bench holds the instrumented check-in pipeline
    to <5% throughput overhead.
-3. **Thread-safe everywhere.**  The service, bus workers, and 40+ crawler
-   threads all record concurrently; every child guards its state with its
-   own lock, and family/registry dictionaries are guarded separately.
+3. **Thread-safe everywhere.**  The service, publishing threads, and 40+
+   crawler threads all record concurrently; every child guards its state
+   with its own lock, and family/registry dictionaries are guarded
+   separately.
 4. **No dependencies.**  Standard library only.
 """
 

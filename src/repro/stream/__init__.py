@@ -2,18 +2,13 @@
 
 The stream layer sits between the service and the analysis stack: the
 :class:`~repro.lbsn.service.LbsnService` publishes typed events at the end
-of its check-in pipeline, the :class:`EventBus` fans them out under
-bounded backpressure, and the incremental detectors keep the Chapter-4
+of its check-in pipeline, the :class:`EventBus` runs every subscriber
+inline on them, and the incremental detectors keep the Chapter-4
 suspicion factors current per event — giving the live verdicts the
 offline crawl-then-analyze loop cannot (§4.3's closing complaint).
 """
 
-from repro.stream.bus import (
-    BackpressurePolicy,
-    BusError,
-    EventBus,
-    SubscriberStats,
-)
+from repro.stream.bus import BusError, EventBus, SubscriberStats
 from repro.stream.detectors import (
     ActivityRateDetector,
     GeoDispersionDetector,
@@ -36,7 +31,6 @@ from repro.stream.events import (
 from repro.stream.ledger import SuspicionLedger
 
 __all__ = [
-    "BackpressurePolicy",
     "BusError",
     "EventBus",
     "SubscriberStats",

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional
 from repro.analysis.detection import DetectorConfig, SuspicionReport
 from repro.obs.log import LogHub
 from repro.obs.metrics import MetricsRegistry
-from repro.stream.bus import BackpressurePolicy, EventBus
+from repro.stream.bus import EventBus
 from repro.stream.detectors import (
     ActivityRateDetector,
     GeoDispersionDetector,
@@ -124,22 +124,10 @@ class SuspicionLedger:
                 self._scored_metric.inc()
 
     def attach(
-        self,
-        bus: EventBus,
-        name: str = "suspicion-ledger",
-        *,
-        background: bool = False,
-        queue_size: int = 4096,
-        policy: BackpressurePolicy = BackpressurePolicy.BLOCK,
+        self, bus: EventBus, name: str = "suspicion-ledger"
     ) -> "SuspicionLedger":
         """Subscribe this ledger to a bus; returns self for chaining."""
-        bus.subscribe(
-            name,
-            self.on_event,
-            background=background,
-            queue_size=queue_size,
-            policy=policy,
-        )
+        bus.subscribe(name, self.on_event)
         return self
 
     # Scoring ------------------------------------------------------------

@@ -121,7 +121,6 @@ class TestMetricsCommand:
         assert "repro_ledger_checkins_scored_total" in out
         # Crawler.
         assert "repro_crawler_pages_fetched_total" in out
-        assert "repro_crawler_worker_items_total" in out
         # It is valid Prometheus text exposition.
         assert "# HELP repro_lbsn_checkins_total" in out
         assert "# TYPE repro_lbsn_checkins_total counter" in out

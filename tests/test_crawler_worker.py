@@ -1,11 +1,11 @@
-"""Unit tests for the Appendix-A threading model and the worker pool."""
+"""Unit tests for the Appendix-A threading model."""
 
 import threading
 import time
 
 import pytest
 
-from repro.crawler.worker import AppendixAController, WorkerPool
+from repro.crawler.worker import AppendixAController
 from repro.errors import CrawlError
 
 
@@ -110,39 +110,3 @@ class TestAppendixAController:
     def test_invalid_thread_count(self):
         with pytest.raises(CrawlError):
             AppendixAController(lambda: None, desired_threads=0)
-
-
-class TestWorkerPool:
-    def test_drains_all_work(self):
-        work, state = counting_work(500)
-        pool = WorkerPool(work, threads=6)
-        stats = pool.run()
-        assert stats.processed == 500
-        assert state["issued"] == 500
-
-    def test_failures_counted(self):
-        work, _ = counting_work(100, fail_every=4)
-        stats = WorkerPool(work, threads=3).run()
-        assert stats.failed == 25
-
-    def test_exception_counts_as_failure_and_continues(self):
-        issued = {"n": 0}
-        lock = threading.Lock()
-
-        def work():
-            with lock:
-                if issued["n"] >= 20:
-                    return None
-                issued["n"] += 1
-                item = issued["n"]
-            if item == 5:
-                raise ValueError("bad page")
-            return True
-
-        stats = WorkerPool(work, threads=2).run()
-        assert stats.processed == 20
-        assert stats.failed == 1
-
-    def test_invalid_thread_count(self):
-        with pytest.raises(CrawlError):
-            WorkerPool(lambda: None, threads=0)

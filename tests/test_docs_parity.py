@@ -6,10 +6,12 @@ two-way parity check between the doc's ``| `repro_…` `` table rows and
 the registry.  The plain ``repro metrics`` workload runs once per module:
 it is OBSERVABILITY.md's exerciser, and the storm-only families of the
 other rows must never leak into it.  The failure-point table, the debug
-route table, the constants the docs quote, and the anchor and
-cross-link strings are checked from tables too.
+route table, the structured log event table, the constants the docs
+quote, and the anchor and cross-link strings are checked from tables
+too.
 """
 
+import ast
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -323,6 +325,66 @@ class TestDebugRouteTable:
             if pattern.pattern.startswith("/debug/")
         }
         assert documented == installed
+
+
+@pytest.fixture(scope="module")
+def logging_literals():
+    """Event and logger-name literals of every logging call in src/repro.
+
+    Returns ``(events, loggers)``: the first string argument of each
+    ``.debug/.info/.warning/.error("…")`` call, and each name passed to
+    ``.logger("…")``.  Events built at run time (f-strings) are not
+    literals and are not seen.
+    """
+    events, loggers = set(), set()
+    for path in (REPO / "src" / "repro").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.args
+                and isinstance(node.args[0], ast.Constant)
+                and isinstance(node.args[0].value, str)
+            ):
+                continue
+            if node.func.attr in ("debug", "info", "warning", "error"):
+                events.add(node.args[0].value)
+            elif node.func.attr == "logger":
+                loggers.add(node.args[0].value)
+    return events, loggers
+
+
+def documented_log_events():
+    """``(logger, event)`` cells of OBSERVABILITY.md's log event table."""
+    text = (DOCS / "OBSERVABILITY.md").read_text()
+    section = text.split("## Structured log events", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"^\| `([^`]+)` \| `([^`]+)` \|", section, re.M)
+
+
+class TestLogEventTable:
+    def test_table_rows_are_emitted_by_created_loggers(self, logging_literals):
+        events, loggers = logging_literals
+        rows = documented_log_events()
+        assert rows, "docs/OBSERVABILITY.md lost its log event table"
+        stale_events = {event for _, event in rows} - events
+        assert not stale_events, (
+            f"log events documented in docs/OBSERVABILITY.md but never "
+            f"emitted under src/repro: {sorted(stale_events)}"
+        )
+        stale_loggers = {logger for logger, _ in rows} - loggers
+        assert not stale_loggers, (
+            f"loggers documented in docs/OBSERVABILITY.md but never "
+            f"created under src/repro: {sorted(stale_loggers)}"
+        )
+
+    def test_every_emitted_event_is_documented(self, logging_literals):
+        events, _ = logging_literals
+        docs = "\n".join(path.read_text() for path in DOCS.glob("*.md"))
+        missing = {event for event in events if f"`{event}`" not in docs}
+        assert not missing, (
+            f"log events emitted under src/repro but named in no "
+            f"docs/*.md: {sorted(missing)}"
+        )
 
 
 #: Strings a file must contain, one case per claim: the load-bearing

@@ -49,6 +49,24 @@ class TestExperimentIndexIntegrity:
             assert f"## E{exp_id} " in experiments, f"E{exp_id}"
 
 
+class TestBenchOutputs:
+    def test_cited_outputs_are_the_committed_outputs(self):
+        """EXPERIMENTS.md cites exactly the ``E<n>_*.txt`` reports in
+        benchmarks/out/, and each report has its ``_summary.json`` twin
+        (and no twin is left without its report)."""
+        experiments = (REPO / "EXPERIMENTS.md").read_text()
+        cited = set(re.findall(r"\b(E\d+_\w+\.txt)", experiments))
+        out = REPO / "benchmarks" / "out"
+        reports = {path.name for path in out.glob("E*.txt")}
+        assert cited == reports, (
+            f"cited but not committed: {sorted(cited - reports)}; "
+            f"committed but not cited: {sorted(reports - cited)}"
+        )
+        twins = {path.name for path in out.glob("E*_summary.json")}
+        expected = {name[: -len(".txt")] + "_summary.json" for name in reports}
+        assert twins == expected, sorted(twins ^ expected)
+
+
 class TestExamplesExist:
     def test_examples_listed_in_readme_exist(self):
         readme = (REPO / "README.md").read_text()

@@ -17,7 +17,7 @@ from repro.durable.partition import (
 )
 from repro.durable.worker import PartitionedDetectorPipeline
 from repro.geo.coordinates import GeoPoint
-from repro.stream.bus import BusError, EventBus
+from repro.stream.bus import EventBus
 from repro.stream.detectors import StreamDetectorConfig
 from repro.stream.events import (
     CheckInAccepted,
@@ -166,16 +166,6 @@ class TestDurableBusTap:
         bus.close()
         assert order == ["tap", "plain"]
         # Durable-first even though it subscribed second.
-
-    def test_durable_background_combination_rejected(self):
-        bus = EventBus()
-        try:
-            with pytest.raises(BusError, match="synchronous"):
-                bus.subscribe(
-                    "tap", lambda e: None, durable=True, background=True
-                )
-        finally:
-            bus.close()
 
     def test_subscriber_names_list_durable_first(self):
         bus = EventBus()

@@ -2,10 +2,7 @@
 one shared registry and the webserver serves it.  The documentation
 catalogue's parity with the registry is tests/test_docs_parity.py."""
 
-import threading
-
 from repro.crawler import crawl_full_site
-from repro.crawler.worker import WorkerPool
 from repro.geo.coordinates import GeoPoint
 from repro.lbsn.models import CheckInStatus
 from repro.lbsn.service import RULE_GPS_VERIFICATION, LbsnService
@@ -14,7 +11,6 @@ from repro.obs import MetricsRegistry
 from repro.simnet.http import HttpTransport, Router
 from repro.simnet.network import Network
 from repro.stream import (
-    BackpressurePolicy,
     CheckInAccepted,
     EventBus,
     StreamEvent,
@@ -133,40 +129,6 @@ class TestBusMetrics:
         snap = registry.snapshot()
         assert snap["repro_bus_published_total"][()] == 10
         assert snap["repro_bus_delivered_total"][("sink",)] == 10
-        assert snap["repro_bus_dropped_total"][("sink",)] == 0
-
-    def test_reject_policy_drop_accounting_is_exact(self):
-        """REJECT: a stalled subscriber refuses overflow, and both the
-        in-process stats and the exported counters account for every
-        single publish (delivered + dropped == published)."""
-        registry = MetricsRegistry()
-        gate = threading.Event()
-        bus = EventBus(metrics=registry)
-        stats = bus.subscribe(
-            "stalled",
-            lambda event: gate.wait(),
-            background=True,
-            queue_size=8,
-            policy=BackpressurePolicy.REJECT,
-        )
-        total = 200
-        for _ in range(total):
-            bus.publish(make_event())
-        gate.set()
-        assert bus.drain(timeout=30.0)
-        bus.close()
-
-        assert stats.dropped > 0  # the queue really overflowed
-        assert stats.delivered + stats.dropped == total
-        snap = registry.snapshot()
-        assert snap["repro_bus_published_total"][()] == total
-        assert (
-            snap["repro_bus_delivered_total"][("stalled",)]
-            == stats.delivered
-        )
-        assert snap["repro_bus_dropped_total"][("stalled",)] == stats.dropped
-        # Fully drained: the queue-depth gauge must read zero again.
-        assert snap["repro_bus_queue_depth"][("stalled",)] == 0
 
     def test_subscriber_errors_are_counted(self):
         registry = MetricsRegistry()
@@ -254,22 +216,3 @@ class TestCrawlerMetrics:
         throughput = snap["repro_crawler_pages_per_second"]
         assert throughput[("user",)] > 0
         assert throughput[("venue",)] > 0
-
-    def test_worker_pool_counts_outcomes(self):
-        registry = MetricsRegistry()
-        outcomes = [True, True, False, True, False]
-
-        def work():
-            if not outcomes:
-                return None
-            return outcomes.pop()
-
-        pool = WorkerPool(work, threads=2, metrics=registry)
-        stats = pool.run()
-        assert stats.processed == 5
-        assert stats.failed == 2
-        snap = registry.snapshot()
-        items = snap["repro_crawler_worker_items_total"]
-        assert items[("ok",)] == 3
-        assert items[("failed",)] == 2
-

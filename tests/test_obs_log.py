@@ -1,9 +1,8 @@
 """Unit tests for the structured JSONL logging layer (repro.obs.log).
 
-Covers levels and per-logger overrides, deterministic stride sampling,
-sink fan-out (including broken sinks), bound loggers, the ring buffer's
-wraparound accounting, the ``records()`` query filters behind
-``/debug/logs``, and the lazy JSONL serialisation contract.
+Covers levels and per-logger overrides, the ring buffer's wraparound
+accounting, the ``records()`` query filters behind ``/debug/logs``, and
+the lazy JSONL serialisation contract.
 """
 
 import json
@@ -18,7 +17,6 @@ from repro.obs.log import (
     LogError,
     LogHub,
     LogRecord,
-    StructuredLogger,
     level_name,
 )
 from repro.obs.metrics import MetricsRegistry
@@ -65,110 +63,6 @@ class TestLevels:
     def test_level_name_falls_back_to_number(self):
         assert level_name(INFO) == "info"
         assert level_name(55) == "55"
-
-
-class TestSampling:
-    def test_stride_sampling_keeps_exactly_the_fraction(self):
-        hub = LogHub()
-        logger = hub.logger("svc", sample=0.25)
-        kept = [n for n in range(1, 101) if logger.info("e", n=n)]
-        assert len(kept) == 25
-        assert hub.suppressed == 75
-
-    def test_sampling_is_deterministic_across_runs(self):
-        def kept_set():
-            hub = LogHub()
-            logger = hub.logger("svc", sample=0.25)
-            return [n for n in range(1, 101) if logger.info("e", n=n)]
-
-        assert kept_set() == kept_set()
-
-    def test_warnings_and_errors_never_sampled(self):
-        hub = LogHub()
-        logger = hub.logger("svc", sample=0.01)
-        assert all(logger.warning("w", n=n) for n in range(50))
-        assert all(logger.error("e", n=n) for n in range(50))
-        assert hub.emitted == 100
-        assert hub.suppressed == 0
-
-    def test_bad_sample_rates_rejected(self):
-        hub = LogHub()
-        with pytest.raises(LogError):
-            hub.logger("svc", sample=0.0)
-        with pytest.raises(LogError):
-            hub.logger("svc2").set_sample(1.5)
-
-
-class TestSinks:
-    def test_sink_receives_every_kept_record(self):
-        hub = LogHub()
-        seen = []
-        hub.add_sink(seen.append)
-        hub.logger("svc").info("one", k=1)
-        hub.logger("svc").info("two", k=2)
-        assert [r.event for r in seen] == ["one", "two"]
-        assert all(isinstance(r, LogRecord) for r in seen)
-
-    def test_jsonl_sink_writes_parseable_lines(self):
-        hub = LogHub()
-        lines = []
-        hub.add_jsonl_sink(lines.append)
-        hub.logger("svc").info("checkin", user_id=7)
-        assert len(lines) == 1
-        assert lines[0].endswith("\n")
-        obj = json.loads(lines[0])
-        assert obj["event"] == "checkin"
-        assert obj["user_id"] == 7
-
-    def test_raising_sink_is_counted_not_propagated(self):
-        hub = LogHub()
-        seen = []
-
-        def broken(record):
-            raise RuntimeError("sink down")
-
-        hub.add_sink(broken)
-        hub.add_sink(seen.append)
-        assert hub.logger("svc").info("kept")
-        assert hub.sink_errors == 1
-        # The later sink and the ring both still saw the record.
-        assert len(seen) == 1
-        assert len(hub.records()) == 1
-
-
-class TestBoundLoggers:
-    def test_bound_fields_stamped_on_every_record(self):
-        hub = LogHub()
-        bound = hub.logger("svc").bind(user_id=7, run="a")
-        bound.info("step", phase=1)
-        (record,) = hub.records()
-        assert record.fields["user_id"] == 7
-        assert record.fields["run"] == "a"
-        assert record.fields["phase"] == 1
-
-    def test_call_site_fields_override_bound(self):
-        hub = LogHub()
-        bound = hub.logger("svc").bind(user_id=7)
-        bound.info("step", user_id=9)
-        (record,) = hub.records()
-        assert record.fields["user_id"] == 9
-
-    def test_bind_does_not_replace_the_cached_logger(self):
-        hub = LogHub()
-        base = hub.logger("svc")
-        bound = base.bind(user_id=7)
-        assert hub.logger("svc") is base
-        assert bound is not base
-        assert isinstance(bound, StructuredLogger)
-
-    def test_rebinding_layers_fields(self):
-        hub = LogHub()
-        outer = hub.logger("svc").bind(a=1)
-        inner = outer.bind(b=2)
-        inner.info("step")
-        (record,) = hub.records()
-        assert record.fields["a"] == 1
-        assert record.fields["b"] == 2
 
 
 class TestRing:
@@ -269,10 +163,11 @@ class TestHubMetrics:
         hub.logger("a").info("e")
         hub.logger("a").info("e")
         hub.logger("b").warning("w")
-        hub.logger("a", sample=0.5).info("suppressed?")  # stride: 1st dropped
+        hub.logger("a").debug("below the hub level")
         flat = registry.snapshot()["repro_log_records_total"]
         assert flat[("a", "info")] == 2.0
         assert flat[("b", "warning")] == 1.0
+        assert ("a", "debug") not in flat
 
     def test_logger_cache_returns_same_instance(self):
         hub = LogHub()
@@ -282,6 +177,6 @@ class TestHubMetrics:
     def test_logger_reconfigure_on_lookup(self):
         hub = LogHub()
         logger = hub.logger("svc")
-        hub.logger("svc", level=ERROR, sample=0.5)
+        hub.logger("svc", level=ERROR)
         assert logger.level == ERROR
-        assert logger.sample == 0.5
+        assert not logger.warning("below the new level")

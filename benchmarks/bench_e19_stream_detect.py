@@ -3,15 +3,16 @@
 Two measurements on the ``repro.stream`` subsystem:
 
 1. **Bus fan-out throughput** — publishing to 4 inline subscribers must
-   sustain >= 50,000 events/s, every subscriber seeing every event with
-   no errors (the acceptance bar for running the ledger inline with the
-   check-in pipeline).
+   sustain >= 50,000 events/s (median of 5 rounds), every subscriber
+   seeing every event with no errors in every round (the acceptance bar
+   for running the ledger inline with the check-in pipeline).
 2. **Online/offline parity** — a full seeded world streamed through the
    live :class:`SuspicionLedger` flags >= 90% of the users the offline
    :class:`CheaterDetector` flags on a crawl of the *same* world with the
    *same* :class:`DetectorConfig`.
 """
 
+import statistics
 import time
 
 from repro.analysis.detection import CheaterDetector, DetectorConfig
@@ -27,7 +28,8 @@ SOMEWHERE = GeoPoint(40.8136, -96.7026)  # Lincoln, NE
 
 FANOUT_EVENTS = 100_000
 FANOUT_SUBSCRIBERS = 4
-THROUGHPUT_FLOOR = 50_000  # events/s, the acceptance bar
+ROUNDS = 5  # timed fan-out rounds; the report quotes their median
+THROUGHPUT_FLOOR = 50_000  # events/s, the acceptance bar, on the median
 PARITY_BAR = 0.9  # share of offline suspects the live ledger must flag
 
 
@@ -43,7 +45,11 @@ def _event(i: int) -> CheckInAccepted:
 
 
 def test_e19_bus_fanout_throughput(report_out, benchmark):
-    """Inline fan-out to 4 subscribers: >= 50k events/s, every event seen."""
+    """Inline fan-out to 4 subscribers: >= 50k events/s, every event seen.
+
+    One round takes about 0.2 s, so a single round is mostly host noise:
+    ``ROUNDS`` rounds are timed and the report quotes their median.
+    """
     events = [_event(i) for i in range(FANOUT_EVENTS)]
 
     def sink(event):
@@ -55,43 +61,52 @@ def test_e19_bus_fanout_throughput(report_out, benchmark):
             bus.subscribe(f"sink-{k}", sink)
         start = time.perf_counter()
         for event in events:
-            event.seq = -1  # re-arm for repeated benchmark rounds
+            event.seq = -1  # re-arm for the next round
             bus.publish(event)
         elapsed = time.perf_counter() - start
         stats = [bus.stats_of(f"sink-{k}") for k in range(FANOUT_SUBSCRIBERS)]
         bus.close()
         return elapsed, bus.published, stats
 
-    elapsed, published, stats = benchmark.pedantic(
-        fan_out, rounds=3, iterations=1
+    runs = benchmark.pedantic(
+        lambda: [fan_out() for _ in range(ROUNDS)], rounds=1, iterations=1
     )
-    rate = published / elapsed
+    rates = [published / elapsed for elapsed, published, _ in runs]
+    rate = statistics.median(rates)
+    elapsed = statistics.median(elapsed for elapsed, _, _ in runs)
     rows = [
-        f"published {published} events to {FANOUT_SUBSCRIBERS} "
-        f"inline subscribers in {elapsed:.3f} s",
-        f"fan-out throughput: {rate:,.0f} events/s "
-        f"({rate * FANOUT_SUBSCRIBERS:,.0f} deliveries/s; "
+        f"published {FANOUT_EVENTS} events to {FANOUT_SUBSCRIBERS} "
+        f"inline subscribers, {ROUNDS} rounds: median {elapsed:.3f} s",
+        f"fan-out throughput: median {rate:,.0f} events/s "
+        f"(min {min(rates):,.0f}, max {max(rates):,.0f}; "
+        f"{rate * FANOUT_SUBSCRIBERS:,.0f} deliveries/s; "
         f"floor {THROUGHPUT_FLOOR:,} events/s)",
-        "per-subscriber: "
+        f"per-subscriber, worst of {ROUNDS} rounds: "
         + ", ".join(
-            f"delivered={s.delivered} errors={s.errors}" for s in stats
+            f"delivered={min(stats[k].delivered for _, _, stats in runs)} "
+            f"errors={max(stats[k].errors for _, _, stats in runs)}"
+            for k in range(FANOUT_SUBSCRIBERS)
         ),
     ]
     report_out(
         "E19_bus_throughput",
         rows,
         summary={
-            "events": published,
+            "events": FANOUT_EVENTS,
             "subscribers": FANOUT_SUBSCRIBERS,
+            "rounds": ROUNDS,
             "events_per_s": round(rate),
+            "events_per_s_min": round(min(rates)),
+            "events_per_s_max": round(max(rates)),
             "events_per_s_floor": THROUGHPUT_FLOOR,
             "deliveries_per_s": round(rate * FANOUT_SUBSCRIBERS),
         },
     )
-    assert published == FANOUT_EVENTS
-    for s in stats:
-        assert s.delivered == published
-        assert s.errors == 0
+    for _, published, stats in runs:
+        assert published == FANOUT_EVENTS
+        for s in stats:
+            assert s.delivered == published
+            assert s.errors == 0
     assert rate >= THROUGHPUT_FLOOR, f"{rate:,.0f} events/s < 50k floor"
 
 

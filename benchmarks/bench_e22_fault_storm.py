@@ -42,6 +42,7 @@ Environment knobs (CI smoke mode shrinks the first two):
 
 import os
 
+from repro.faults.plan import STORM_COMMIT_FAILURE, STORM_WEB_FAILURE
 from repro.obs import LogHub, MetricsRegistry
 from repro.workload.chaos import ChaosConfig, run_chaos
 
@@ -133,8 +134,8 @@ def test_e22_fault_storm(report_out, benchmark):
         f"fault seed {FAULT_SEED}",
         f"storm: {FETCH_FAILURE:.0%} fetch failure, "
         f"{SUBSCRIBER_FAILURE:.0%} subscriber failure, "
-        f"{storm.config.commit_failure:.0%} commit contention, "
-        f"{storm.config.web_failure:.0%} web 5xx; "
+        f"{STORM_COMMIT_FAILURE:.0%} commit contention, "
+        f"{STORM_WEB_FAILURE:.0%} web 5xx; "
         f"{total_fired} faults fired",
         f"crawl under fire: {storm.crawl.hits} hits / "
         f"{storm.crawl.misses} misses / {storm.crawl.failures} residual "

@@ -40,6 +40,7 @@ Environment knobs (CI smoke mode shrinks the world):
 import os
 
 from repro.adversary import AdversaryConfig, run_adversary
+from repro.adversary.ring import WITNESS_WINDOW_S
 
 SCALE = float(os.environ.get("REPRO_E26_SCALE", "0.01"))
 RINGS = int(os.environ.get("REPRO_E26_RINGS", "3"))
@@ -138,7 +139,7 @@ def test_e26_adversary(report_out, benchmark):
         f"world: scale {SCALE} (target pool {headline.target_pool} "
         f"easy mayor-specials — the thesis's '~1000 venues'), seed {SEED}",
         f"adversary: {RINGS} rings, {HONEST} honest control accounts, "
-        f"witness window {headline.config.witness_window_s:.0f}s; "
+        f"witness window {WITNESS_WINDOW_S:.0f}s; "
         f"per-user cheater code detections in every cell: 0; "
         f"naive corroboration in every cell: 1.00",
         f"no-defense control (density 0): ring sweeps unopposed, "

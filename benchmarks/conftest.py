@@ -61,18 +61,35 @@ def bench_crawl(bench_world, bench_stack):
 
 
 def _git_rev() -> str:
-    """The short commit hash, or ``"unknown"`` outside a work tree."""
-    try:
+    """The short commit hash, or ``"unknown"`` outside a work tree.
+
+    ``-dirty`` is appended when a tracked file under ``src/`` or
+    ``benchmarks/`` differs from HEAD: the output was made from
+    uncommitted code.  ``benchmarks/out/`` is ignored, since a bench
+    run rewrites it.
+    """
+
+    def git(*args: str) -> str:
         return subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
+            ["git", *args],
             cwd=Path(__file__).parent,
             capture_output=True,
             text=True,
             timeout=10,
             check=True,
-        ).stdout.strip() or "unknown"
+        ).stdout.strip()
+
+    try:
+        rev = git("rev-parse", "--short", "HEAD")
+        changed = git(
+            "diff", "--name-only", "HEAD", "--",
+            ":/src", ":/benchmarks", ":(top,exclude)benchmarks/out",
+        )
     except (OSError, subprocess.SubprocessError):
         return "unknown"
+    if not rev:
+        return "unknown"
+    return f"{rev}-dirty" if changed else rev
 
 
 #: ``label: 123`` / ``label=1.5`` pairs inside a prose row.  Labels are

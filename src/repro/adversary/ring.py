@@ -61,6 +61,11 @@ from repro.lbsn.service import LbsnService
 MIN_RING_ACCOUNTS = 2
 #: Rings bigger than this stop looking like one shared device.
 MAX_RING_ACCOUNTS = 16
+#: All corroborating check-ins at a venue land within this window...
+WITNESS_WINDOW_S = 120.0
+#: ... and within this radius of the venue (they all claim the venue
+#: coordinates, so this bounds the corroboration check, not the ring).
+WITNESS_RADIUS_M = 250.0
 
 
 @dataclass
@@ -72,11 +77,6 @@ class RingConfig:
     #: Seed of the witness-offset stream; schedules are pure functions
     #: of (targets, seed).
     seed: int = 0
-    #: All corroborating check-ins at a venue land within this window.
-    witness_window_s: float = 120.0
-    #: ... and within this radius of the venue (they all claim the venue
-    #: coordinates, so this bounds the corroboration check, not the ring).
-    witness_radius_m: float = 250.0
     #: Display-name prefix for the registered accounts.
     name: str = "Ring"
 
@@ -220,7 +220,7 @@ class RingCoordinator:
         accounts = self.config.accounts
         # Offsets: account 0 at 0; follower i in its own slice of the
         # window, jittered, ascending — "quick succession", never a tie.
-        slice_s = self.config.witness_window_s / accounts
+        slice_s = WITNESS_WINDOW_S / accounts
         offsets = [0.0]
         for index in range(1, accounts):
             offsets.append(
@@ -251,10 +251,11 @@ class RingCoordinator:
         """Run the naive proximity check the ring is built to defeat.
 
         For each stop: do at least two *distinct* accounts attest a
-        presence within ``witness_window_s`` and ``witness_radius_m`` of
-        each other?  Returns the corroborated fraction — 1.0 for any
-        convoy schedule, which is precisely why corroboration alone is
-        worthless against collusion and a honeypot tier is needed.
+        presence within :data:`WITNESS_WINDOW_S` and
+        :data:`WITNESS_RADIUS_M` of each other?  Returns the corroborated
+        fraction — 1.0 for any convoy schedule, which is precisely why
+        corroboration alone is worthless against collusion and a
+        honeypot tier is needed.
         """
         if not schedule.venue_ids:
             return 0.0
@@ -270,12 +271,11 @@ class RingCoordinator:
                     if left.account_index == right.account_index:
                         continue
                     close_in_time = (
-                        abs(left.fire_at - right.fire_at)
-                        <= self.config.witness_window_s
+                        abs(left.fire_at - right.fire_at) <= WITNESS_WINDOW_S
                     )
                     close_in_space = (
                         haversine_m(left.location, right.location)
-                        <= self.config.witness_radius_m
+                        <= WITNESS_RADIUS_M
                     )
                     if close_in_time and close_in_space:
                         ok = True
@@ -324,6 +324,8 @@ def _as_scheduled(entry: RingEntry) -> ScheduledCheckIn:
 __all__ = [
     "MAX_RING_ACCOUNTS",
     "MIN_RING_ACCOUNTS",
+    "WITNESS_RADIUS_M",
+    "WITNESS_WINDOW_S",
     "RingConfig",
     "RingCoordinator",
     "RingEntry",

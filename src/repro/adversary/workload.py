@@ -74,8 +74,6 @@ class AdversaryConfig:
     targets_per_ring: int = 24
     #: Honeypots seeded as a fraction of the world's venue count.
     honeypot_density: float = 0.01
-    #: Witness window for the convoy's corroborating check-ins.
-    witness_window_s: float = 120.0
     #: Honest control group: accounts driven, check-ins each.
     honest_accounts: int = 50
     honest_checkins_each: int = 6
@@ -234,7 +232,6 @@ def run_adversary(
             RingConfig(
                 accounts=config.ring_size,
                 seed=config.seed * 1_000 + ring_index,
-                witness_window_s=config.witness_window_s,
                 name=f"Ring {ring_index + 1}",
             ),
         )

@@ -256,19 +256,12 @@ def crawl_full_site(
     database: Optional[CrawlDatabase] = None,
     metrics: Optional[MetricsRegistry] = None,
     log: Optional[LogHub] = None,
-    faults: Optional[FaultInjector] = None,
-    breaker_factory: Optional[Callable[[str], CircuitBreaker]] = None,
-    backoff: Optional[BackoffPolicy] = None,
-    sleep: Optional[Callable[[float], object]] = None,
 ) -> tuple:
     """Run the thesis's full two-pass crawl: all users, then all venues.
 
     Returns ``(database, user_stats, venue_stats)`` with the derived
     UserInfo columns (RecentCheckins, TotalMayors) already recomputed.
-    ``metrics`` (optional) instruments both passes and their fetchers;
-    ``faults``/``breaker_factory``/``backoff``/``sleep`` (optional) give
-    both passes the resilience wiring :class:`MultiThreadedCrawler`
-    documents.
+    ``metrics`` (optional) instruments both passes and their fetchers.
     """
     database = database or CrawlDatabase()
     user_crawl = MultiThreadedCrawler(
@@ -279,10 +272,6 @@ def crawl_full_site(
         threads_per_machine=user_threads_per_machine,
         metrics=metrics,
         log=log,
-        faults=faults,
-        breaker_factory=breaker_factory,
-        backoff=backoff,
-        sleep=sleep,
     )
     user_stats = user_crawl.run()
     venue_crawl = MultiThreadedCrawler(
@@ -293,10 +282,6 @@ def crawl_full_site(
         threads_per_machine=venue_threads_per_machine,
         metrics=metrics,
         log=log,
-        faults=faults,
-        breaker_factory=breaker_factory,
-        backoff=backoff,
-        sleep=sleep,
     )
     venue_stats = venue_crawl.run()
     database.recompute_derived()

@@ -28,7 +28,6 @@ Resilience hooks (all optional, all injectable):
 
 from __future__ import annotations
 
-import random
 import time
 from typing import Callable, Optional
 
@@ -78,7 +77,6 @@ class PageFetcher:
         breaker: Optional[CircuitBreaker] = None,
         backoff: Optional[BackoffPolicy] = None,
         sleep: Optional[Callable[[float], object]] = None,
-        rng: Optional[random.Random] = None,
     ) -> None:
         if max_retries < 0:
             raise CrawlError(f"max_retries must be non-negative: {max_retries}")
@@ -89,7 +87,6 @@ class PageFetcher:
         self.breaker = breaker
         self.backoff = backoff
         self._sleep = sleep
-        self._rng = rng
         self._logger = (
             log.logger("crawler.fetcher") if log is not None else None
         )
@@ -209,7 +206,7 @@ class PageFetcher:
         """Charge the backoff delay to the injected sleep, when wired."""
         if self.backoff is None or self._sleep is None:
             return
-        delay = self.backoff.delay(retry_number, self._rng)
+        delay = self.backoff.delay(retry_number)
         if delay > 0:
             self._sleep(delay)
 

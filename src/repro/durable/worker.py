@@ -107,8 +107,6 @@ class DetectorWorker:
         config: Optional[DetectorConfig] = None,
         stream_config: Optional[StreamDetectorConfig] = None,
         snapshot_every: int = 0,
-        segment_max_bytes: int = 1_048_576,
-        fsync_every: int = 64,
         metrics: Optional[MetricsRegistry] = None,
         log: Optional[LogHub] = None,
         faults: Optional[FaultInjector] = None,
@@ -125,12 +123,7 @@ class DetectorWorker:
         self.snapshot_every = snapshot_every
         root = Path(base_dir) / self.label
         self.wal_dir = root / "wal"
-        self.wal = WalWriter(
-            self.wal_dir,
-            segment_max_bytes=segment_max_bytes,
-            fsync_every=fsync_every,
-            metrics=metrics,
-        )
+        self.wal = WalWriter(self.wal_dir, metrics=metrics)
         self.snapshots = SnapshotStore(
             root / "snapshots", partition=partition, metrics=metrics
         )
@@ -320,17 +313,12 @@ class PartitionedDetectorPipeline:
         config: Optional[DetectorConfig] = None,
         stream_config: Optional[StreamDetectorConfig] = None,
         snapshot_every: int = 0,
-        segment_max_bytes: int = 1_048_576,
-        fsync_every: int = 64,
-        virtual_nodes: int = 64,
         metrics: Optional[MetricsRegistry] = None,
         log: Optional[LogHub] = None,
         faults: Optional[FaultInjector] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
-        self.router = ConsistentHashRouter(
-            partitions, virtual_nodes=virtual_nodes
-        )
+        self.router = ConsistentHashRouter(partitions)
         self.base_dir = Path(base_dir)
         self.workers = [
             DetectorWorker(
@@ -339,8 +327,6 @@ class PartitionedDetectorPipeline:
                 config=config,
                 stream_config=stream_config,
                 snapshot_every=snapshot_every,
-                segment_max_bytes=segment_max_bytes,
-                fsync_every=fsync_every,
                 metrics=metrics,
                 log=log,
                 faults=faults,

@@ -15,8 +15,8 @@ class ReproError(Exception):
 class TransientError(ReproError):
     """An error that is expected to clear on its own — retrying may help.
 
-    The resilience toolkit (:mod:`repro.faults`) keys its default retry
-    policy off this class: :func:`repro.faults.retry_call` retries
+    The resilience toolkit (:mod:`repro.faults`) keys its retry policy
+    off this class: :func:`repro.faults.retry_call` retries
     transient errors and immediately re-raises everything else.  Layers
     that can distinguish "try again" from "give up" raise a subclass
     carrying both their domain base (``CrawlError``, ``ServiceError``)
@@ -35,17 +35,6 @@ class FaultInjectedError(TransientError):
     def __init__(self, point: str, message: str = "") -> None:
         super().__init__(message or f"injected fault at {point!r}")
         self.point = point
-
-
-class TimeoutExceededError(TransientError):
-    """An operation ran past its :class:`repro.faults.Timeout` budget."""
-
-    def __init__(self, op: str, budget_s: float, message: str = "") -> None:
-        super().__init__(
-            message or f"{op!r} exceeded its {budget_s:g}s timeout budget"
-        )
-        self.op = op
-        self.budget_s = budget_s
 
 
 class BreakerOpenError(TransientError):

@@ -7,10 +7,10 @@ Two halves, one package:
   :class:`FaultInjector` (live decisions with metrics/log/sequence
   telemetry).  The failure-point names live in
   :mod:`repro.faults.points` and are documented in docs/RESILIENCE.md.
-* **Resilience** — :class:`BackoffPolicy` + :func:`retry_call` (classified
-  retries with capped exponential backoff), :class:`Timeout` (deadline
-  budgets on an injectable clock), and :class:`CircuitBreaker`
-  (consecutive-failure breaker with half-open probing).
+* **Resilience** — :class:`BackoffPolicy` + :func:`retry_call` (retries
+  of transient errors with capped exponential backoff) and
+  :class:`CircuitBreaker` (consecutive-failure breaker with one
+  half-open probe).
 
 Everything paces itself against injectable clocks/sleeps, so the chaos
 suite runs entirely in simulated time — zero wall-clock sleeps.
@@ -32,13 +32,7 @@ from repro.faults.points import (
     POINT_STREAM_SUBSCRIBER,
     POINT_WEB_REQUEST,
 )
-from repro.faults.retry import (
-    BackoffPolicy,
-    RetryPolicyError,
-    Timeout,
-    default_classify,
-    retry_call,
-)
+from repro.faults.retry import BackoffPolicy, RetryPolicyError, retry_call
 
 __all__ = [
     "FAILURE_POINTS",
@@ -60,7 +54,5 @@ __all__ = [
     "FaultSpec",
     "RetryPolicyError",
     "SEQUENCE_RING_SIZE",
-    "Timeout",
-    "default_classify",
     "retry_call",
 ]

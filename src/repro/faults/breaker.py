@@ -5,9 +5,9 @@ an egress, hammering it harder only extends the ban.  A
 :class:`CircuitBreaker` encodes the fix — after ``failure_threshold``
 consecutive failures the circuit *opens* and calls fail fast with
 :class:`~repro.errors.BreakerOpenError`; after ``reset_timeout_s`` on
-the injected clock it *half-opens* and admits up to
-``half_open_probes`` trial calls; a probe success closes the circuit,
-a probe failure re-opens it and re-arms the timer.
+the injected clock it *half-opens* and admits one trial call; a probe
+success closes the circuit, a probe failure re-opens it and re-arms the
+timer.
 
 ``now_fn`` is any zero-argument float callable.  Tests and the chaos
 harness pass ``SimClock.now``, so breakers open and half-open entirely
@@ -25,14 +25,12 @@ from __future__ import annotations
 import threading
 import time
 from enum import Enum
-from typing import Callable, Optional, TypeVar
+from typing import Callable, Optional
 
 from repro.errors import BreakerOpenError, ReproError
 from repro.obs.context import current_trace
 from repro.obs.log import LogHub, StructuredLogger
 from repro.obs.metrics import MetricsRegistry
-
-T = TypeVar("T")
 
 
 class BreakerError(ReproError):
@@ -63,7 +61,6 @@ class CircuitBreaker:
         name: str = "breaker",
         failure_threshold: int = 5,
         reset_timeout_s: float = 30.0,
-        half_open_probes: int = 1,
         now_fn: Optional[Callable[[], float]] = None,
         metrics: Optional[MetricsRegistry] = None,
         log: Optional[LogHub] = None,
@@ -76,20 +73,15 @@ class CircuitBreaker:
             raise BreakerError(
                 f"reset_timeout_s must be non-negative: {reset_timeout_s}"
             )
-        if half_open_probes < 1:
-            raise BreakerError(
-                f"half_open_probes must be >= 1: {half_open_probes}"
-            )
         self.name = name
         self.failure_threshold = failure_threshold
         self.reset_timeout_s = reset_timeout_s
-        self.half_open_probes = half_open_probes
         self._now = now_fn if now_fn is not None else time.monotonic
         self._lock = threading.Lock()
         self._state = BreakerState.CLOSED
         self._consecutive_failures = 0
         self._opened_at = 0.0
-        self._probes_granted = 0
+        self._probe_granted = False
         self._open_count = 0
         self._logger: Optional[StructuredLogger] = (
             log.logger("faults.breaker") if log is not None else None
@@ -147,7 +139,7 @@ class CircuitBreaker:
             and self._now() >= self._opened_at + self.reset_timeout_s
         ):
             self._transition(BreakerState.HALF_OPEN)
-            self._probes_granted = 0
+            self._probe_granted = False
 
     def _transition(self, state: BreakerState) -> None:
         """Move to ``state`` with telemetry.  Caller holds the lock."""
@@ -178,17 +170,16 @@ class CircuitBreaker:
         """May a call proceed right now?
 
         CLOSED: always.  OPEN: no (counted as a short circuit) until the
-        reset timer promotes to HALF_OPEN.  HALF_OPEN: yes for up to
-        ``half_open_probes`` callers; further callers are refused until
-        a probe reports back.
+        reset timer promotes to HALF_OPEN.  HALF_OPEN: yes for the one
+        probe; further callers are refused until it reports back.
         """
         with self._lock:
             self._maybe_half_open()
             if self._state is BreakerState.CLOSED:
                 return True
             if self._state is BreakerState.HALF_OPEN:
-                if self._probes_granted < self.half_open_probes:
-                    self._probes_granted += 1
+                if not self._probe_granted:
+                    self._probe_granted = True
                     return True
                 if self._short_circuits_metric is not None:
                     self._short_circuits_metric.inc()
@@ -223,14 +214,3 @@ class CircuitBreaker:
                 and self._consecutive_failures >= self.failure_threshold
             ):
                 self._transition(BreakerState.OPEN)
-
-    def call(self, fn: Callable[[], T]) -> T:
-        """Run ``fn`` under the breaker: gate, then report the outcome."""
-        self.ensure()
-        try:
-            result = fn()
-        except BaseException:
-            self.record_failure()
-            raise
-        self.record_success()
-        return result

@@ -48,8 +48,6 @@ class FaultDecision:
     fire_index: int
     #: 0-based index of the check (fired or not) that produced this.
     check_index: int
-    #: True when this fire came from an ongoing burst, not a fresh draw.
-    from_burst: bool = False
 
     @property
     def kind(self) -> FaultKind:
@@ -70,16 +68,15 @@ class FaultDecision:
 class _SpecState:
     """Mutable decision stream for one (point, spec) pair."""
 
-    __slots__ = ("spec", "rng", "burst_left", "fires")
+    __slots__ = ("spec", "rng", "fires")
 
     def __init__(self, spec: FaultSpec, seed: int) -> None:
         self.spec = spec
         self.rng = random.Random(seed)
-        self.burst_left = 0
         self.fires = 0
 
-    def draw(self, label: Optional[str]) -> Tuple[bool, bool]:
-        """(fired, from_burst) for one check.  Caller holds the lock.
+    def draw(self, label: Optional[str]) -> bool:
+        """Whether this check fires.  Caller holds the lock.
 
         The RNG is advanced for every *eligible* check — including those
         suppressed by ``max_fires`` — so the decision stream stays a pure
@@ -87,19 +84,14 @@ class _SpecState:
         """
         spec = self.spec
         if spec.only_labels is not None and label not in spec.only_labels:
-            return False, False
-        if self.burst_left > 0:
-            self.burst_left -= 1
-            self.fires += 1
-            return True, True
+            return False
         fired = self.rng.random() < spec.probability
         if not fired:
-            return False, False
+            return False
         if spec.max_fires is not None and self.fires >= spec.max_fires:
-            return False, False
+            return False
         self.fires += 1
-        self.burst_left = spec.burst - 1
-        return True, False
+        return True
 
 
 class FaultInjector:
@@ -201,8 +193,7 @@ class FaultInjector:
             check_index = self._checks[point]
             self._checks[point] = check_index + 1
             for state in states:
-                fired, from_burst = state.draw(label)
-                if fired:
+                if state.draw(label):
                     fire_index = self._fired[point]
                     self._fired[point] = fire_index + 1
                     decision = FaultDecision(
@@ -210,7 +201,6 @@ class FaultInjector:
                         spec=state.spec,
                         fire_index=fire_index,
                         check_index=check_index,
-                        from_burst=from_burst,
                     )
                     sequence = self._sequence[point]
                     if len(sequence) < SEQUENCE_RING_SIZE:
@@ -284,7 +274,6 @@ class FaultInjector:
                 label=label,
                 fire_index=decision.fire_index,
                 check_index=decision.check_index,
-                from_burst=decision.from_burst,
                 trace_id=trace_id,
             )
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Tuple, Type
 
-from repro.errors import ReproError
+from repro.errors import CommitContentionError, ReproError
 from repro.faults.points import (
     POINT_CRAWLER_FETCH,
     POINT_SIMNET_REQUEST,
@@ -34,6 +34,16 @@ from repro.faults.points import (
     POINT_STREAM_SUBSCRIBER,
     POINT_WEB_REQUEST,
 )
+
+#: Name of the sacrificial bus subscriber the standard storm targets.
+VICTIM_SUBSCRIBER = "chaos-victim"
+
+#: The standard storm's fixed specs: commit contention, web 5xx, and
+#: network latency (seconds charged, and the share of requests charged).
+STORM_COMMIT_FAILURE = 0.05
+STORM_WEB_FAILURE = 0.10
+STORM_LATENCY_S = 0.04
+STORM_LATENCY_PROBABILITY = 0.10
 
 
 class FaultPlanError(ReproError):
@@ -59,13 +69,10 @@ class FaultSpec:
 
     #: Which failure point this spec arms (see :mod:`repro.faults.points`).
     point: str
-    #: Per-check probability of starting to fire, in [0, 1].
+    #: Per-check probability of firing, in [0, 1].
     probability: float
     #: What firing does (error / latency / http).
     kind: FaultKind = FaultKind.ERROR
-    #: Once fired, also fire the next ``burst - 1`` checks — models IP-ban
-    #: bursts and correlated outages rather than i.i.d. coin flips.
-    burst: int = 1
     #: Simulated seconds charged when this fires (all kinds may slow).
     latency_s: float = 0.0
     #: HTTP status for :attr:`FaultKind.HTTP` specs.
@@ -87,8 +94,6 @@ class FaultSpec:
             raise FaultPlanError(
                 f"probability must be in [0, 1]: {self.probability}"
             )
-        if self.burst < 1:
-            raise FaultPlanError(f"burst must be >= 1: {self.burst}")
         if self.latency_s < 0:
             raise FaultPlanError(
                 f"latency_s must be non-negative: {self.latency_s}"
@@ -103,7 +108,7 @@ class FaultPlan:
     """A seeded, ordered collection of fault specs.
 
     Plans are *descriptions* — pure data plus a seed.  The runtime state
-    (per-spec RNG streams, burst counters, fire tallies) lives in the
+    (per-spec RNG streams, fire tallies) lives in the
     :class:`~repro.faults.injector.FaultInjector` built from a plan, so
     one plan can drive many independent, identically-behaving injectors.
     """
@@ -155,21 +160,14 @@ class FaultPlan:
         seed: int = 0,
         fetch_failure: float = 0.2,
         subscriber_failure: float = 0.05,
-        commit_failure: float = 0.05,
-        web_failure: float = 0.10,
-        network_latency_s: float = 0.04,
-        network_latency_probability: float = 0.10,
-        victim_subscriber: Optional[str] = "chaos-victim",
     ) -> "FaultPlan":
         """The standard fault storm used by E22, ``repro chaos``, and tests.
 
         20% fetch failure / 5% bus-subscriber failure by default — the
-        acceptance storm — plus light commit contention, injected web
-        5xx, and network latency shaping.  ``victim_subscriber`` scopes
-        the subscriber faults to one named subscriber (None = all).
+        acceptance storm, scoped to the :data:`VICTIM_SUBSCRIBER` — plus
+        fixed light commit contention, injected web 5xx, and network
+        latency shaping.  A zero fetch or subscriber rate omits its spec.
         """
-        from repro.errors import CommitContentionError
-
         plan = cls(seed=seed)
         if fetch_failure > 0:
             plan.add(
@@ -185,44 +183,42 @@ class FaultPlan:
                     point=POINT_STREAM_SUBSCRIBER,
                     probability=subscriber_failure,
                     kind=FaultKind.ERROR,
-                    only_labels=(
-                        (victim_subscriber,)
-                        if victim_subscriber is not None
-                        else None
-                    ),
+                    only_labels=(VICTIM_SUBSCRIBER,),
                 )
             )
-        if commit_failure > 0:
-            plan.add(
-                FaultSpec(
-                    point=POINT_STORE_COMMIT,
-                    probability=commit_failure,
-                    kind=FaultKind.ERROR,
-                    error=CommitContentionError,
-                )
+        plan.add(
+            FaultSpec(
+                point=POINT_STORE_COMMIT,
+                probability=STORM_COMMIT_FAILURE,
+                kind=FaultKind.ERROR,
+                error=CommitContentionError,
             )
-        if web_failure > 0:
-            plan.add(
-                FaultSpec(
-                    point=POINT_WEB_REQUEST,
-                    probability=web_failure,
-                    kind=FaultKind.HTTP,
-                    status=500,
-                )
+        )
+        plan.add(
+            FaultSpec(
+                point=POINT_WEB_REQUEST,
+                probability=STORM_WEB_FAILURE,
+                kind=FaultKind.HTTP,
+                status=500,
             )
-        if network_latency_probability > 0 and network_latency_s > 0:
-            plan.add(
-                FaultSpec(
-                    point=POINT_SIMNET_REQUEST,
-                    probability=network_latency_probability,
-                    kind=FaultKind.LATENCY,
-                    latency_s=network_latency_s,
-                )
+        )
+        plan.add(
+            FaultSpec(
+                point=POINT_SIMNET_REQUEST,
+                probability=STORM_LATENCY_PROBABILITY,
+                kind=FaultKind.LATENCY,
+                latency_s=STORM_LATENCY_S,
             )
+        )
         return plan
 
 
 __all__ = [
+    "STORM_COMMIT_FAILURE",
+    "STORM_LATENCY_PROBABILITY",
+    "STORM_LATENCY_S",
+    "STORM_WEB_FAILURE",
+    "VICTIM_SUBSCRIBER",
     "FaultKind",
     "FaultPlan",
     "FaultPlanError",

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Dict
 
 #: One page fetch by :class:`repro.crawler.fetcher.PageFetcher` — fires
-#: as fetch errors, slow responses, or ban bursts before the HTTP attempt.
+#: as fetch errors or slow responses before the HTTP attempt.
 POINT_CRAWLER_FETCH = "crawler.fetch"
 
 #: One request through :class:`repro.simnet.http.HttpTransport` — fires
@@ -53,7 +53,7 @@ POINT_WEB_REQUEST = "web.request"
 #: name → one-line description; the docs parity test renders this table.
 FAILURE_POINTS: Dict[str, str] = {
     POINT_CRAWLER_FETCH: (
-        "One crawler page fetch: fetch errors, slow responses, ban bursts."
+        "One crawler page fetch: fetch errors or slow responses."
     ),
     POINT_SIMNET_REQUEST: (
         "One simulated HTTP request: loss (NetworkError) or latency shaping."

@@ -1,60 +1,49 @@
-"""Resilience primitives: capped exponential backoff, retries, timeouts.
+"""Resilience primitives: capped exponential backoff and retries.
 
 The thesis's crawler retried through transient bans and paced itself
 against rate limiting (§3.2); :func:`retry_call` is that discipline as a
 library function.  Policy decisions are explicit and testable:
 
-* :class:`BackoffPolicy` — capped exponential schedule with bounded
-  jitter and an optional total-delay budget.  Hypothesis property tests
-  pin the schedule's invariants (monotone non-decreasing pre-jitter
-  delays, jitter within bounds, total budget never exceeded).
-* :class:`Timeout` — a deadline budget against an injectable ``now``
-  callable (usually ``SimClock.now``), so budgets work in simulated
-  time with zero wall-clock sleeps.
+* :class:`BackoffPolicy` — capped exponential schedule.  Hypothesis
+  property tests pin its invariants (monotone non-decreasing delays,
+  capped at ``max_delay_s``, starting at ``initial_delay_s``).
 * :func:`retry_call` — retries *transient* errors
-  (:class:`~repro.errors.TransientError` by default) and re-raises
-  everything else immediately; sleeping is delegated to an injectable
-  callable (tests pass ``clock.advance``; nothing here ever calls
-  ``time.sleep``).
+  (:class:`~repro.errors.TransientError`) and re-raises everything else
+  immediately; sleeping is delegated to an injectable callable (tests
+  pass ``clock.advance``; nothing here ever calls ``time.sleep``).
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import Callable, List, Optional, TypeVar
+from typing import Callable, Optional, TypeVar
 
-from repro.errors import ReproError, TimeoutExceededError, TransientError
+from repro.errors import ReproError, TransientError
 from repro.obs.context import current_trace
 from repro.obs.log import LogHub, StructuredLogger
 from repro.obs.metrics import MetricsRegistry
 
 T = TypeVar("T")
 
+#: Growth factor between consecutive backoff delays.
+BACKOFF_MULTIPLIER = 2.0
+
 
 class RetryPolicyError(ReproError):
-    """Misuse of the retry/backoff API (bad attempts, bad jitter...)."""
+    """Misuse of the retry/backoff API (bad attempts, bad delays...)."""
 
 
 @dataclass(frozen=True)
 class BackoffPolicy:
-    """Capped exponential backoff with bounded jitter.
+    """Capped exponential backoff.
 
-    The pre-jitter delay before retry ``n`` (1-based) is
-    ``min(initial_delay_s * multiplier**(n-1), max_delay_s)``; jitter
-    multiplies it by a uniform draw from
-    ``[1 - jitter_fraction, 1 + jitter_fraction]``.  When
-    ``max_total_delay_s`` is set, the schedule is truncated so the *sum*
-    of delays (jitter included — jitter is bounded above, so the cap
-    uses the worst case) never exceeds the budget.
+    The delay before retry ``n`` (1-based) is
+    ``min(initial_delay_s * BACKOFF_MULTIPLIER**(n-1), max_delay_s)``.
     """
 
     max_attempts: int = 5
     initial_delay_s: float = 0.05
-    multiplier: float = 2.0
     max_delay_s: float = 2.0
-    jitter_fraction: float = 0.1
-    max_total_delay_s: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -65,145 +54,49 @@ class BackoffPolicy:
             raise RetryPolicyError(
                 f"initial_delay_s must be non-negative: {self.initial_delay_s}"
             )
-        if self.multiplier < 1.0:
-            raise RetryPolicyError(
-                f"multiplier must be >= 1: {self.multiplier}"
-            )
         if self.max_delay_s < self.initial_delay_s:
             raise RetryPolicyError(
                 f"max_delay_s ({self.max_delay_s}) must be >= "
                 f"initial_delay_s ({self.initial_delay_s})"
             )
-        if not 0.0 <= self.jitter_fraction < 1.0:
-            raise RetryPolicyError(
-                f"jitter_fraction must be in [0, 1): {self.jitter_fraction}"
-            )
-        if self.max_total_delay_s is not None and self.max_total_delay_s < 0:
-            raise RetryPolicyError(
-                f"max_total_delay_s must be non-negative: "
-                f"{self.max_total_delay_s}"
-            )
 
-    def base_delay(self, retry_number: int) -> float:
-        """Pre-jitter delay before retry ``retry_number`` (1-based)."""
+    def delay(self, retry_number: int) -> float:
+        """Delay before retry ``retry_number`` (1-based)."""
         if retry_number < 1:
             raise RetryPolicyError(
                 f"retry_number is 1-based: {retry_number}"
             )
-        delay = self.initial_delay_s * self.multiplier ** (retry_number - 1)
+        delay = self.initial_delay_s * BACKOFF_MULTIPLIER ** (retry_number - 1)
         return min(delay, self.max_delay_s)
-
-    def delay(
-        self, retry_number: int, rng: Optional[random.Random] = None
-    ) -> float:
-        """Jittered delay before retry ``retry_number`` (1-based)."""
-        base = self.base_delay(retry_number)
-        if rng is None or self.jitter_fraction == 0.0:
-            return base
-        spread = rng.uniform(-self.jitter_fraction, self.jitter_fraction)
-        return base * (1.0 + spread)
-
-    def schedule(
-        self, rng: Optional[random.Random] = None
-    ) -> List[float]:
-        """The full delay schedule (one entry per possible retry).
-
-        Truncated so the cumulative delay never exceeds
-        ``max_total_delay_s`` (when set): the retry that would cross the
-        budget — and everything after it — is dropped.
-        """
-        delays: List[float] = []
-        total = 0.0
-        for retry_number in range(1, self.max_attempts):
-            delay = self.delay(retry_number, rng)
-            if (
-                self.max_total_delay_s is not None
-                and total + delay > self.max_total_delay_s
-            ):
-                break
-            delays.append(delay)
-            total += delay
-        return delays
-
-
-class Timeout:
-    """A deadline budget against an injectable clock.
-
-    ``now_fn`` is any zero-argument float callable — tests and the chaos
-    harness pass ``SimClock.now``, so budgets elapse in simulated time
-    and never block a real thread.
-    """
-
-    def __init__(
-        self, budget_s: float, now_fn: Callable[[], float], op: str = "call"
-    ) -> None:
-        if budget_s < 0:
-            raise RetryPolicyError(
-                f"timeout budget must be non-negative: {budget_s}"
-            )
-        self.budget_s = float(budget_s)
-        self.op = op
-        self._now = now_fn
-        self._deadline = now_fn() + budget_s
-
-    @property
-    def deadline(self) -> float:
-        """Absolute deadline on the injected clock."""
-        return self._deadline
-
-    def remaining(self) -> float:
-        """Budget left, floored at zero."""
-        return max(0.0, self._deadline - self._now())
-
-    @property
-    def expired(self) -> bool:
-        """True once the deadline has passed."""
-        return self._now() >= self._deadline
-
-    def ensure(self) -> "Timeout":
-        """Raise :class:`~repro.errors.TimeoutExceededError` if expired."""
-        if self.expired:
-            raise TimeoutExceededError(self.op, self.budget_s)
-        return self
-
-
-def default_classify(error: BaseException) -> bool:
-    """The default retryability test: transient errors retry."""
-    return isinstance(error, TransientError)
 
 
 def retry_call(
     fn: Callable[[], T],
     policy: Optional[BackoffPolicy] = None,
     *,
-    classify: Callable[[BaseException], bool] = default_classify,
     sleep: Optional[Callable[[float], object]] = None,
-    timeout: Optional[Timeout] = None,
-    rng: Optional[random.Random] = None,
     on_retry: Optional[Callable[[int, BaseException, float], object]] = None,
     metrics: Optional[MetricsRegistry] = None,
     log: Optional[LogHub] = None,
     op: str = "call",
 ) -> T:
-    """Call ``fn`` with classified retries and capped backoff.
+    """Call ``fn`` with retries on transient errors and capped backoff.
 
-    ``classify(error) -> bool`` decides retryability; the default retries
-    :class:`~repro.errors.TransientError` subclasses only — permanent
-    errors re-raise on the first attempt, which is the typed-error
+    :class:`~repro.errors.TransientError` subclasses retry; anything
+    else re-raises on the first attempt, which is the typed-error
     contract the crawler fetcher's transient/permanent split feeds.
+    Once ``policy.max_attempts`` calls have failed, the last error
+    re-raises.
 
     ``sleep`` receives each backoff delay; pass ``clock.advance`` to pace
     in simulated time, or leave None to retry immediately (still counted
-    — the *schedule* is what the backoff property tests pin).  With a
-    ``timeout``, retries stop once the budget is exhausted and the
-    budget's :class:`~repro.errors.TimeoutExceededError` is raised from
-    the last failure.
+    — the *schedule* is what the backoff property tests pin).
 
     Telemetry (optional): ``repro_retry_attempts_total{op}`` per retry,
     ``repro_retry_recoveries_total{op}`` when a retried call eventually
-    succeeds, ``repro_retry_exhausted_total{op}`` when the budget or the
-    attempt cap gives up; WARNING ``retry.attempt`` / ERROR
-    ``retry.exhausted`` records under the ambient trace_id.
+    succeeds, ``repro_retry_exhausted_total{op}`` when the attempt cap
+    gives up; WARNING ``retry.attempt`` / ERROR ``retry.exhausted``
+    records under the ambient trace_id.
     """
     policy = policy or BackoffPolicy()
     logger: Optional[StructuredLogger] = (
@@ -227,24 +120,11 @@ def retry_call(
             ("op",),
         ).labels(op)
 
-    total_slept = 0.0
     for attempt in range(1, policy.max_attempts + 1):
         try:
             result = fn()
-        except BaseException as error:  # noqa: BLE001 - classified below
-            if not classify(error):
-                raise
-            retries_left = attempt < policy.max_attempts
-            delay = policy.delay(attempt, rng) if retries_left else 0.0
-            budget_ok = True
-            if timeout is not None and retries_left:
-                budget_ok = (
-                    not timeout.expired and timeout.remaining() >= delay
-                )
-            if policy.max_total_delay_s is not None and retries_left:
-                if total_slept + delay > policy.max_total_delay_s:
-                    budget_ok = False
-            if not retries_left or not budget_ok:
+        except TransientError as error:
+            if attempt == policy.max_attempts:
                 if exhausted_metric is not None:
                     exhausted_metric.inc()
                 if logger is not None:
@@ -258,11 +138,8 @@ def retry_call(
                             ambient.trace_id if ambient is not None else None
                         ),
                     )
-                if timeout is not None and timeout.expired:
-                    raise TimeoutExceededError(
-                        timeout.op, timeout.budget_s
-                    ) from error
                 raise
+            delay = policy.delay(attempt)
             if attempts_metric is not None:
                 attempts_metric.inc()
             if logger is not None:
@@ -281,7 +158,6 @@ def retry_call(
                 on_retry(attempt, error, delay)
             if sleep is not None and delay > 0:
                 sleep(delay)
-            total_slept += delay
             continue
         if attempt > 1 and recoveries_metric is not None:
             recoveries_metric.inc()

@@ -46,7 +46,7 @@ from repro.crawler.database import CrawlDatabase
 from repro.crawler.frontier import CrawlMode
 from repro.faults.breaker import BreakerState, CircuitBreaker
 from repro.faults.injector import FaultInjector
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import VICTIM_SUBSCRIBER, FaultPlan
 from repro.faults.retry import BackoffPolicy, retry_call
 from repro.lbsn.service import LbsnService
 from repro.obs.context import TraceContext, use_trace
@@ -63,8 +63,24 @@ from repro.workload.scenario import (
     storm_schedule,
 )
 
-#: Name of the sacrificial bus subscriber the standard storm targets.
-VICTIM_SUBSCRIBER = "chaos-victim"
+# Phase A: crawl.  One machine, one thread: a fully sequential crawl
+# makes the *entire* run deterministic — same seeds ⇒ identical fault
+# sequence digest AND end-state digest.  With more threads the
+# per-point decision *streams* stay deterministic (that is the
+# injector's contract) but how many checks each phase consumes depends
+# on interleaving, so run-level digests may drift.
+CRAWL_MACHINES = 1
+CRAWL_THREADS = 1
+FETCH_MAX_RETRIES = 3
+#: Shared by the per-machine crawl breakers and the phase C drill.
+BREAKER_FAILURE_THRESHOLD = 5
+BREAKER_RESET_TIMEOUT_S = 30.0
+
+#: Phase B: attempts per check-in commit before the retry gives up.
+COMMIT_RETRY_ATTEMPTS = 8
+
+#: Phase D: public venue pages requested under the web 5xx storm.
+WEB_PROBES = 200
 
 
 @dataclass
@@ -83,31 +99,9 @@ class ChaosConfig:
     # Storm shape (forwarded to FaultPlan.standard_storm).
     fetch_failure: float = 0.20
     subscriber_failure: float = 0.05
-    commit_failure: float = 0.05
-    web_failure: float = 0.10
-    network_latency_s: float = 0.04
-    network_latency_probability: float = 0.10
 
-    # Phase A: crawl.
-    #: 1 machine × 1 thread by default: a fully sequential crawl makes
-    #: the *entire* run deterministic — same seeds ⇒ identical fault
-    #: sequence digest AND end-state digest.  With more threads the
-    #: per-point decision *streams* stay deterministic (that is the
-    #: injector's contract) but how many checks each phase consumes
-    #: depends on interleaving, so run-level digests may drift.
-    crawl_machines: int = 1
-    crawl_threads: int = 1
-    fetch_max_retries: int = 3
-    breaker_failure_threshold: int = 5
-    breaker_reset_timeout_s: float = 30.0
-
-    # Phase B: check-in storm.
+    #: Phase B: check-in storm length.
     checkins: int = 300
-    checkin_gap_s: float = 60.0
-    commit_retry_attempts: int = 8
-
-    # Phase D: web probe.
-    web_probes: int = 200
 
 
 @dataclass
@@ -225,11 +219,6 @@ def run_chaos(
             seed=config.fault_seed,
             fetch_failure=config.fetch_failure,
             subscriber_failure=config.subscriber_failure,
-            commit_failure=config.commit_failure,
-            web_failure=config.web_failure,
-            network_latency_s=config.network_latency_s,
-            network_latency_probability=config.network_latency_probability,
-            victim_subscriber=VICTIM_SUBSCRIBER,
         )
         injector = FaultInjector(
             plan, clock=service.clock, metrics=metrics, log=log
@@ -262,16 +251,16 @@ def run_chaos(
     clock = service.clock
 
     # -- Phase A: crawl under the fetch storm --------------------------
-    _run_crawl_phase(config, report, stack, clock, metrics, log, injector)
+    _run_crawl_phase(report, stack, clock, metrics, log, injector)
 
     # -- Phase B: check-in storm with retried commits ------------------
     _run_checkin_phase(config, report, world, clock, metrics, log)
 
     # -- Phase C: breaker drill ----------------------------------------
-    _run_breaker_drill(config, report, clock, metrics, log)
+    _run_breaker_drill(report, clock, metrics, log)
 
     # -- Phase D: web probe + observability routes ---------------------
-    _run_web_probe(config, report, stack)
+    _run_web_probe(report, stack)
 
     # -- Accounting ----------------------------------------------------
     report.ledger_suspects = sorted(ledger.suspect_ids())
@@ -286,7 +275,6 @@ def run_chaos(
 
 
 def _run_crawl_phase(
-    config: ChaosConfig,
     report: ChaosReport,
     stack: WebStack,
     clock,
@@ -294,15 +282,13 @@ def _run_crawl_phase(
     log: Optional[LogHub],
     injector: Optional[FaultInjector],
 ) -> None:
-    egresses = [
-        stack.network.create_egress() for _ in range(config.crawl_machines)
-    ]
+    egresses = [stack.network.create_egress() for _ in range(CRAWL_MACHINES)]
 
     def breaker_factory(name: str) -> CircuitBreaker:
         return CircuitBreaker(
             name=name,
-            failure_threshold=config.breaker_failure_threshold,
-            reset_timeout_s=config.breaker_reset_timeout_s,
+            failure_threshold=BREAKER_FAILURE_THRESHOLD,
+            reset_timeout_s=BREAKER_RESET_TIMEOUT_S,
             now_fn=clock.now,
             metrics=metrics,
             log=log,
@@ -313,16 +299,14 @@ def _run_crawl_phase(
         CrawlDatabase(),
         CrawlMode.USER,
         egresses,
-        threads_per_machine=config.crawl_threads,
+        threads_per_machine=CRAWL_THREADS,
         metrics=metrics,
         log=log,
         faults=injector,
         breaker_factory=breaker_factory,
-        backoff=BackoffPolicy(
-            initial_delay_s=0.05, jitter_fraction=0.0, max_delay_s=1.0
-        ),
+        backoff=BackoffPolicy(initial_delay_s=0.05, max_delay_s=1.0),
         sleep=clock.advance,
-        fetch_max_retries=config.fetch_max_retries,
+        fetch_max_retries=FETCH_MAX_RETRIES,
     )
     report.crawl = crawler.run()
     report.crawl_aborted = crawler.aborted
@@ -341,14 +325,11 @@ def _run_checkin_phase(
 ) -> None:
     service = world.service
     policy = BackoffPolicy(
-        max_attempts=config.commit_retry_attempts,
+        max_attempts=COMMIT_RETRY_ATTEMPTS,
         initial_delay_s=0.01,
-        jitter_fraction=0.0,
         max_delay_s=0.5,
     )
-    for user_id, venue, timestamp in storm_schedule(
-        world, config.checkins, config.checkin_gap_s
-    ):
+    for user_id, venue, timestamp in storm_schedule(world, config.checkins):
         report.checkins_attempted += 1
         trace = TraceContext.mint()
 
@@ -378,7 +359,6 @@ def _run_checkin_phase(
 
 
 def _run_breaker_drill(
-    config: ChaosConfig,
     report: ChaosReport,
     clock,
     metrics: Optional[MetricsRegistry],
@@ -386,9 +366,8 @@ def _run_breaker_drill(
 ) -> None:
     breaker = CircuitBreaker(
         name="chaos-drill",
-        failure_threshold=config.breaker_failure_threshold,
-        reset_timeout_s=config.breaker_reset_timeout_s,
-        half_open_probes=1,
+        failure_threshold=BREAKER_FAILURE_THRESHOLD,
+        reset_timeout_s=BREAKER_RESET_TIMEOUT_S,
         now_fn=clock.now,
         metrics=metrics,
         log=log,
@@ -396,19 +375,17 @@ def _run_breaker_drill(
     while breaker.state is BreakerState.CLOSED:
         breaker.record_failure()
         report.breaker_failures_to_open += 1
-        if report.breaker_failures_to_open > 10 * (
-            config.breaker_failure_threshold
-        ):  # pragma: no cover - defensive
-            break
+        if report.breaker_failures_to_open > 10 * BREAKER_FAILURE_THRESHOLD:
+            break  # pragma: no cover - defensive
     report.breaker_short_circuited = not breaker.allow()
-    clock.advance(config.breaker_reset_timeout_s)
+    clock.advance(BREAKER_RESET_TIMEOUT_S)
     report.breaker_half_opened = breaker.state is BreakerState.HALF_OPEN
     if breaker.allow():
         breaker.record_failure()  # the probe fails: straight back OPEN.
     report.breaker_reopened_on_probe_failure = (
         breaker.state is BreakerState.OPEN
     )
-    clock.advance(config.breaker_reset_timeout_s)
+    clock.advance(BREAKER_RESET_TIMEOUT_S)
     if breaker.allow():
         breaker.record_success()
     report.breaker_closed_after_probe = (
@@ -416,15 +393,13 @@ def _run_breaker_drill(
     )
 
 
-def _run_web_probe(
-    config: ChaosConfig, report: ChaosReport, stack: WebStack
-) -> None:
+def _run_web_probe(report: ChaosReport, stack: WebStack) -> None:
     egress = stack.network.create_egress()
     venue_ids = sorted(
         venue.venue_id
         for venue in stack.webserver.service.store.iter_venues()
     )
-    for index in range(config.web_probes):
+    for index in range(WEB_PROBES):
         venue_id = venue_ids[index % len(venue_ids)] if venue_ids else 1
         response = stack.transport.get(f"/venue/{venue_id}", egress)
         report.web_statuses[response.status] = (
@@ -445,7 +420,14 @@ def _run_web_probe(
 
 
 __all__ = [
+    "BREAKER_FAILURE_THRESHOLD",
+    "BREAKER_RESET_TIMEOUT_S",
+    "COMMIT_RETRY_ATTEMPTS",
+    "CRAWL_MACHINES",
+    "CRAWL_THREADS",
+    "FETCH_MAX_RETRIES",
     "VICTIM_SUBSCRIBER",
+    "WEB_PROBES",
     "ChaosConfig",
     "ChaosReport",
     "committed_state_digest",

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
-from repro.geo.regions import EUROPEAN_CITIES, US_CITIES, City, city_by_name
+from repro.geo.regions import EUROPEAN_CITIES, US_CITIES, city_by_name
 from repro.lbsn.service import LbsnService
 from repro.simnet.clock import SECONDS_PER_DAY, SECONDS_PER_HOUR
 from repro.workload.behavior import CheckInEvent

@@ -55,6 +55,10 @@ from repro.workload.scenario import (
 
 MANIFEST_NAME = "manifest.json"
 
+#: Per-applied-event kill probability of :func:`kill_plan`; with one
+#: allowed fire the seed picks *which* event mid-storm becomes the crash.
+KILL_PROBABILITY = 0.02
+
 
 @dataclass
 class DurableConfig:
@@ -65,21 +69,15 @@ class DurableConfig:
     seed: int = 42
     #: Detector worker count (the N the parity claim quantifies over).
     partitions: int = 4
-    #: Check-in storm length and spacing.
+    #: Check-in storm length.
     checkins: int = 300
-    checkin_gap_s: float = 60.0
 
-    # Durability knobs.
+    #: Checkpoint cadence (0 = only on demand).
     snapshot_every: int = 0
-    segment_max_bytes: int = 1_048_576
-    fsync_every: int = 64
 
     # Victim kill plan (storm runs only).
     fault_seed: int = 1337
     kill_partition: int = 0
-    #: Per-applied-event kill probability; with one allowed fire the
-    #: seed picks *which* event mid-storm becomes the crash.
-    kill_probability: float = 0.02
 
 
 @dataclass
@@ -125,9 +123,7 @@ class DurableReport:
         )
 
 
-def kill_plan(
-    seed: int, partition: int, probability: float = 0.02
-) -> FaultPlan:
+def kill_plan(seed: int, partition: int) -> FaultPlan:
     """A seeded plan that kills one named worker exactly once.
 
     ``max_fires=1`` + per-spec seeded RNG means the *seed* decides which
@@ -137,7 +133,7 @@ def kill_plan(
     return FaultPlan(seed=seed).add(
         FaultSpec(
             point=POINT_DURABLE_WORKER,
-            probability=probability,
+            probability=KILL_PROBABILITY,
             max_fires=1,
             only_labels=(f"partition-{partition:02d}",),
         )
@@ -157,8 +153,6 @@ def _build_pipeline(
         base_dir,
         config=DetectorConfig(min_total_checkins=SCENARIO_MIN_TOTAL_CHECKINS),
         snapshot_every=config.snapshot_every,
-        segment_max_bytes=config.segment_max_bytes,
-        fsync_every=config.fsync_every,
         metrics=metrics,
         log=log,
         faults=faults,
@@ -182,11 +176,7 @@ def run_durable_storm(
 
     service = LbsnService(metrics=metrics, log=log)
     injector = FaultInjector(
-        kill_plan(
-            config.fault_seed,
-            config.kill_partition,
-            config.kill_probability,
-        ),
+        kill_plan(config.fault_seed, config.kill_partition),
         clock=service.clock,
         metrics=metrics,
         log=log,
@@ -211,9 +201,7 @@ def run_durable_storm(
     injector.arm()
 
     # The deterministic check-in storm (chaos phase B, without retries).
-    for user_id, venue, timestamp in storm_schedule(
-        world, config.checkins, config.checkin_gap_s
-    ):
+    for user_id, venue, timestamp in storm_schedule(world, config.checkins):
         report.checkins_attempted += 1
         trace = TraceContext.mint()
         with use_trace(trace):
@@ -292,9 +280,7 @@ def write_durable_tree(
         config, out, metrics=metrics, log=log, tracer=tracer
     ).attach(bus)
     world = build_world(scale=config.scale, seed=config.seed, service=service)
-    for user_id, venue, timestamp in storm_schedule(
-        world, config.checkins, config.checkin_gap_s
-    ):
+    for user_id, venue, timestamp in storm_schedule(world, config.checkins):
         report.checkins_attempted += 1
         trace = TraceContext.mint()
         with use_trace(trace):
@@ -388,6 +374,7 @@ def replay_durable_tree(
 
 
 __all__ = [
+    "KILL_PROBABILITY",
     "MANIFEST_NAME",
     "DurableConfig",
     "DurableReport",

@@ -53,6 +53,9 @@ FULL_SCALE_VENUES = 5_600_000
 #: workloads and of the streamed-world parity suites.
 SCENARIO_MIN_TOTAL_CHECKINS = 100
 
+#: Simulated seconds between consecutive check-ins of the storm schedule.
+STORM_GAP_S = 60.0
+
 
 @dataclass
 class World:
@@ -204,17 +207,17 @@ def build_web_stack(
 
 
 def storm_schedule(
-    world: World, checkins: int, gap_s: float
+    world: World, checkins: int
 ) -> Iterator[Tuple[int, Venue, float]]:
     """The seeded post-horizon check-in storm: ``(user_id, venue, ts)``.
 
     Users are taken round-robin in ID order; venues stride by 7 in ID
     order so one user's consecutive attempts land at different venues
     (the rapid-fire rule would refuse repeats).  Timestamps are pinned
-    absolutely, one day past the horizon, never ``clock.now()``: retry
-    and crawl backoff advance the clock by fault-dependent amounts, and
-    committed rows must not move with them.  Yields nothing when the
-    world has no users or no venues.
+    absolutely, :data:`STORM_GAP_S` apart from one day past the horizon,
+    never ``clock.now()``: retry and crawl backoff advance the clock by
+    fault-dependent amounts, and committed rows must not move with them.
+    Yields nothing when the world has no users or no venues.
     """
     store = world.service.store
     users = sorted(user.user_id for user in store.iter_users())
@@ -224,4 +227,4 @@ def storm_schedule(
     base_ts = world.horizon_s + SECONDS_PER_DAY
     for index in range(checkins):
         venue = store.require_venue(venues[(index * 7) % len(venues)])
-        yield users[index % len(users)], venue, base_ts + index * gap_s
+        yield users[index % len(users)], venue, base_ts + index * STORM_GAP_S

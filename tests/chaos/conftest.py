@@ -27,7 +27,6 @@ CHAOS_SCALE = 0.0003
 CHAOS_SEED = 42
 CHAOS_FAULT_SEED = 1337
 CHAOS_CHECKINS = 120
-CHAOS_WEB_PROBES = 120
 
 
 def make_config(**overrides) -> ChaosConfig:
@@ -37,7 +36,6 @@ def make_config(**overrides) -> ChaosConfig:
         seed=CHAOS_SEED,
         fault_seed=CHAOS_FAULT_SEED,
         checkins=CHAOS_CHECKINS,
-        web_probes=CHAOS_WEB_PROBES,
     )
     return dataclasses.replace(base, **overrides)
 

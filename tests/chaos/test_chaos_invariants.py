@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 
 from repro.obs.log import WARNING
+from repro.workload.chaos import BREAKER_FAILURE_THRESHOLD
 
 
 class TestNoLostCommits:
@@ -79,7 +80,7 @@ class TestCrawlSurvivesStorm:
     def test_crawl_recovers_almost_everything(self, storm, clean):
         """Retries recover every page short of a full retry-budget bust.
 
-        A page is lost only when *all* ``fetch_max_retries + 1`` attempts
+        A page is lost only when *all* ``FETCH_MAX_RETRIES + 1`` attempts
         draw a fault (p = fetch_failure^4 ≈ 0.16%), so the clean run's
         hit count bounds the storm's hits + residual failures.
         """
@@ -107,7 +108,7 @@ class TestBreakerDrill:
     def test_opened_at_threshold(self, storm):
         assert (
             storm.report.breaker_failures_to_open
-            == storm.config.breaker_failure_threshold
+            == BREAKER_FAILURE_THRESHOLD
         )
 
     def test_full_lifecycle(self, storm):

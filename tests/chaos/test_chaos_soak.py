@@ -5,7 +5,8 @@ These push the standard storm harder than the smoke fixtures in
 repeated back to back to catch state leaking between runs. They stay
 fully deterministic (seeded faults, simulated clocks, no wall-clock
 sleeps — the autouse guard still applies), they are just *slow*, which
-is why they ride the nightly/soak pipeline instead of the per-PR gate:
+is why tier-1 deselects them and CI's ``chaos`` job runs them in their
+own step:
 
     PYTHONPATH=src python -m pytest -m soak tests/chaos -q
 """

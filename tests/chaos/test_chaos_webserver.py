@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import json
 
+from repro.workload.chaos import WEB_PROBES
+
 
 class TestPublicSurfaceUnderStorm:
     def test_injected_5xx_observed(self, storm):
         statuses = storm.report.web_statuses
-        assert sum(statuses.values()) == storm.config.web_probes
+        assert sum(statuses.values()) == WEB_PROBES
         injected = sum(
             count for status, count in statuses.items() if status >= 500
         )
@@ -37,7 +39,7 @@ class TestPublicSurfaceUnderStorm:
     def test_most_pages_still_served(self, storm):
         statuses = storm.report.web_statuses
         ok = statuses.get(200, 0)
-        assert ok > storm.config.web_probes // 2
+        assert ok > WEB_PROBES // 2
 
     def test_clean_run_serves_everything(self, clean):
         statuses = clean.report.web_statuses

@@ -13,6 +13,7 @@ import pytest
 from repro.adversary.ring import (
     MAX_RING_ACCOUNTS,
     MIN_RING_ACCOUNTS,
+    WITNESS_WINDOW_S,
     RingConfig,
     RingCoordinator,
 )
@@ -84,13 +85,12 @@ class TestPlanning:
 
     def test_offsets_lead_then_ascend_inside_window(self):
         service, targets = build_board()
-        config = RingConfig(accounts=5, seed=7, witness_window_s=120.0)
-        ring = RingCoordinator(service, config)
+        ring = RingCoordinator(service, RingConfig(accounts=5, seed=7))
         schedule = ring.plan(targets)
         assert schedule.offsets[0] == 0.0
         assert schedule.offsets == sorted(schedule.offsets)
         assert len(set(schedule.offsets)) == len(schedule.offsets)
-        assert all(o < config.witness_window_s for o in schedule.offsets)
+        assert all(o < WITNESS_WINDOW_S for o in schedule.offsets)
 
     def test_every_account_fires_at_every_stop(self):
         service, targets = build_board(venues=5)

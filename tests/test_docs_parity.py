@@ -12,6 +12,7 @@ too.
 """
 
 import ast
+import importlib
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,6 +20,7 @@ from typing import Callable, Optional, Tuple
 
 import pytest
 
+from repro.adversary.ring import WITNESS_WINDOW_S
 from repro.analysis.detection import DetectorConfig
 from repro.defense.honeypot import RULE_HONEYPOT, HoneypotRegistry
 from repro.durable.snapshot import SNAPSHOT_VERSION, SnapshotStore
@@ -33,7 +35,13 @@ from repro.faults import (
     FaultPlan,
     retry_call,
 )
-from repro.faults.plan import FaultSpec
+from repro.faults.plan import (
+    STORM_COMMIT_FAILURE,
+    STORM_LATENCY_PROBABILITY,
+    STORM_LATENCY_S,
+    STORM_WEB_FAILURE,
+    FaultSpec,
+)
 from repro.faults.points import POINT_DURABLE_WORKER
 from repro.geo.coordinates import GeoPoint
 from repro.lbsn.service import LbsnService
@@ -79,9 +87,7 @@ def exercise_resilience(metrics, root):
             raise FaultInjectedError("doc")
         return True
 
-    retry_call(
-        flaky, BackoffPolicy(jitter_fraction=0.0), metrics=metrics, op="doc"
-    )
+    retry_call(flaky, BackoffPolicy(), metrics=metrics, op="doc")
 
 
 def exercise_durable(metrics, root):
@@ -391,6 +397,13 @@ class TestLogEventTable:
 #: claims of each doc, stated by name, and the links that point readers
 #: at them.
 ANCHORS = {
+    "docs/RESILIENCE.md": {
+        "storm-rates": (
+            "5% commit contention",
+            "10% web 5xx",
+            "40 ms on 10% of requests",
+        ),
+    },
     "docs/DURABILITY.md": {
         "failure-point": ("`durable.worker`", "RESILIENCE.md"),
         "record-format": (SEGMENT_MAGIC.decode(), "1 MiB"),
@@ -414,6 +427,7 @@ ANCHORS = {
             "min_total_checkins",
         ),
         "visibility-law": ("visibility law", "GeneratedVenues"),
+        "witness-window": ("120 s *witness window*", "`WITNESS_WINDOW_S`"),
         "cli-verbs": ("repro adversary", "--verify"),
         "proof-suites": (
             "tests/test_adversary_ring.py",
@@ -440,6 +454,16 @@ ANCHOR_CASES = [
 ]
 
 
+def toolkit_bullets():
+    """``(module, text)`` of RESILIENCE.md's ``* **`repro.faults.…`**`` list."""
+    text = (DOCS / "RESILIENCE.md").read_text()
+    return re.findall(
+        r"^\* \*\*`(repro\.faults\.\w+)`\*\* — (.*?)(?=^\* |^$)",
+        text,
+        re.M | re.S,
+    )
+
+
 class TestDocAnchors:
     @pytest.mark.parametrize("path, anchors", ANCHOR_CASES)
     def test_anchors_present(self, path, anchors):
@@ -451,3 +475,28 @@ class TestDocAnchors:
         # DURABILITY.md's "1 MiB" record cap; ADVERSARY.md's pin rule literal.
         assert MAX_RECORD_BYTES == 1 << 20
         assert RULE_HONEYPOT == "honeypot-venue"
+        # RESILIENCE.md's fixed storm rates; ADVERSARY.md's witness window.
+        assert STORM_COMMIT_FAILURE == 0.05
+        assert STORM_WEB_FAILURE == 0.10
+        assert (STORM_LATENCY_S, STORM_LATENCY_PROBABILITY) == (0.04, 0.10)
+        assert WITNESS_WINDOW_S == 120.0
+
+    def test_toolkit_names_resolve(self):
+        """Each class RESILIENCE.md's module list names lives in the
+        module its bullet is about."""
+        bullets = toolkit_bullets()
+        assert [module for module, _ in bullets] == [
+            "repro.faults.plan",
+            "repro.faults.injector",
+            "repro.faults.retry",
+            "repro.faults.breaker",
+        ]
+        for module, text in bullets:
+            names = re.findall(r"`([A-Z][A-Za-z0-9]*)`", text)
+            assert names, f"the {module} bullet names no class"
+            namespace = importlib.import_module(module)
+            stale = [name for name in names if not hasattr(namespace, name)]
+            assert not stale, (
+                f"docs/RESILIENCE.md names {stale} under {module}, "
+                f"which has no such attribute"
+            )

@@ -1,7 +1,12 @@
 """Documentation is executable: README snippets run, docs stay in sync."""
 
+import importlib.util
 import re
+import shutil
+import subprocess
 from pathlib import Path
+
+import pytest
 
 
 REPO = Path(__file__).resolve().parent.parent
@@ -65,6 +70,47 @@ class TestBenchOutputs:
         twins = {path.name for path in out.glob("E*_summary.json")}
         expected = {name[: -len(".txt")] + "_summary.json" for name in reports}
         assert twins == expected, sorted(twins ^ expected)
+
+    def test_summary_rev_marks_uncommitted_sources(self, tmp_path):
+        """The summaries' ``git_rev`` ends in ``-dirty`` when src/ or
+        benchmarks/ differ from HEAD, but not for benchmarks/out/."""
+        if shutil.which("git") is None:
+            pytest.skip("git is not installed")
+        bench = tmp_path / "benchmarks"
+        (bench / "out").mkdir(parents=True)
+        (tmp_path / "src").mkdir()
+        shutil.copy(REPO / "benchmarks" / "conftest.py", bench / "conftest.py")
+        report = bench / "out" / "E1_example.txt"
+        report.write_text("row\n")
+        source = tmp_path / "src" / "module.py"
+        source.write_text("VALUE = 1\n")
+
+        def git(*args):
+            subprocess.run(
+                [
+                    "git", "-c", "user.name=bench",
+                    "-c", "user.email=bench@example.invalid",
+                    "-c", "commit.gpgsign=false", *args,
+                ],
+                cwd=tmp_path,
+                capture_output=True,
+                check=True,
+            )
+
+        git("init", "-q")
+        git("add", "-A")
+        git("commit", "-q", "-m", "seed")
+        spec = importlib.util.spec_from_file_location(
+            "bench_conftest_copy", bench / "conftest.py"
+        )
+        conftest = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(conftest)
+
+        assert re.fullmatch(r"[0-9a-f]{7}", conftest._git_rev())
+        report.write_text("regenerated\n")
+        assert re.fullmatch(r"[0-9a-f]{7}", conftest._git_rev())
+        source.write_text("VALUE = 2\n")
+        assert re.fullmatch(r"[0-9a-f]{7}-dirty", conftest._git_rev())
 
 
 class TestExamplesExist:

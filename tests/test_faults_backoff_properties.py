@@ -1,14 +1,9 @@
 """Property tests (hypothesis) for :class:`repro.faults.BackoffPolicy`.
 
-Pins the schedule invariants the retry layer leans on:
-
-* pre-jitter delays are monotone non-decreasing and capped;
-* jitter stays within ``±jitter_fraction`` of the base delay;
-* a ``max_total_delay_s`` budget is never exceeded, jitter included;
-* schedules are pure functions of (policy, rng seed).
+Pins the schedule invariants the retry layer leans on: delays are
+monotone non-decreasing, capped at ``max_delay_s``, and start at
+``initial_delay_s``.
 """
-
-import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,27 +13,17 @@ from repro.faults import BackoffPolicy
 #: Keep the float ranges tame: these are seconds, not stress tests for
 #: IEEE-754 — the retry layer never sees subnormal or 1e300 delays.
 initial_delays = st.floats(min_value=0.001, max_value=10.0)
-multipliers = st.floats(min_value=1.0, max_value=4.0)
 cap_factors = st.floats(min_value=1.0, max_value=100.0)
-jitters = st.floats(min_value=0.0, max_value=0.9)
 attempt_counts = st.integers(min_value=1, max_value=30)
-seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
 @st.composite
-def policies(draw, with_budget=False):
+def policies(draw):
     initial = draw(initial_delays)
-    cap = initial * draw(cap_factors)
-    budget = None
-    if with_budget:
-        budget = draw(st.floats(min_value=0.0, max_value=50.0))
     return BackoffPolicy(
         max_attempts=draw(attempt_counts),
         initial_delay_s=initial,
-        multiplier=draw(multipliers),
-        max_delay_s=cap,
-        jitter_fraction=draw(jitters),
-        max_total_delay_s=budget,
+        max_delay_s=initial * draw(cap_factors),
     )
 
 
@@ -47,7 +32,7 @@ class TestBaseDelayShape:
     @given(policy=policies())
     def test_monotone_non_decreasing_pre_jitter(self, policy):
         delays = [
-            policy.base_delay(n) for n in range(1, policy.max_attempts + 1)
+            policy.delay(n) for n in range(1, policy.max_attempts + 1)
         ]
         assert all(b >= a for a, b in zip(delays, delays[1:]))
 
@@ -55,67 +40,13 @@ class TestBaseDelayShape:
     @given(policy=policies())
     def test_capped_and_floored(self, policy):
         for n in range(1, policy.max_attempts + 1):
-            delay = policy.base_delay(n)
+            delay = policy.delay(n)
             assert delay <= policy.max_delay_s
             assert delay >= min(policy.initial_delay_s, policy.max_delay_s)
 
     @settings(max_examples=60, deadline=None)
     @given(policy=policies())
     def test_first_delay_is_the_initial_delay(self, policy):
-        assert policy.base_delay(1) == min(
+        assert policy.delay(1) == min(
             policy.initial_delay_s, policy.max_delay_s
-        )
-
-
-class TestJitterBounds:
-    @settings(max_examples=100, deadline=None)
-    @given(policy=policies(), seed=seeds, n=st.integers(1, 30))
-    def test_jitter_within_fraction_of_base(self, policy, seed, n):
-        n = min(n, policy.max_attempts)
-        base = policy.base_delay(n)
-        jittered = policy.delay(n, random.Random(seed))
-        low = base * (1.0 - policy.jitter_fraction)
-        high = base * (1.0 + policy.jitter_fraction)
-        assert low * (1 - 1e-12) <= jittered <= high * (1 + 1e-12)
-        assert jittered >= 0.0
-
-    @settings(max_examples=60, deadline=None)
-    @given(policy=policies(), n=st.integers(1, 30))
-    def test_no_rng_means_no_jitter(self, policy, n):
-        n = min(n, policy.max_attempts)
-        assert policy.delay(n) == policy.base_delay(n)
-
-
-class TestScheduleBudget:
-    @settings(max_examples=100, deadline=None)
-    @given(policy=policies(with_budget=True), seed=seeds)
-    def test_total_delay_never_exceeds_budget(self, policy, seed):
-        schedule = policy.schedule(random.Random(seed))
-        assert sum(schedule) <= policy.max_total_delay_s * (1 + 1e-12)
-
-    @settings(max_examples=80, deadline=None)
-    @given(policy=policies(), seed=seeds)
-    def test_schedule_length_without_budget(self, policy, seed):
-        schedule = policy.schedule(random.Random(seed))
-        assert len(schedule) == policy.max_attempts - 1
-
-    @settings(max_examples=80, deadline=None)
-    @given(policy=policies(with_budget=True), seed=seeds)
-    def test_schedule_is_a_prefix(self, policy, seed):
-        """Budget truncation drops a suffix, never reorders or scales."""
-        budgeted = policy.schedule(random.Random(seed))
-        free = BackoffPolicy(
-            max_attempts=policy.max_attempts,
-            initial_delay_s=policy.initial_delay_s,
-            multiplier=policy.multiplier,
-            max_delay_s=policy.max_delay_s,
-            jitter_fraction=policy.jitter_fraction,
-        ).schedule(random.Random(seed))
-        assert budgeted == free[: len(budgeted)]
-
-    @settings(max_examples=60, deadline=None)
-    @given(policy=policies(with_budget=True), seed=seeds)
-    def test_schedule_is_deterministic_per_seed(self, policy, seed):
-        assert policy.schedule(random.Random(seed)) == policy.schedule(
-            random.Random(seed)
         )

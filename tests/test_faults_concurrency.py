@@ -177,7 +177,6 @@ class TestBreakerUnderThreads:
             name="conc",
             failure_threshold=1,
             reset_timeout_s=5.0,
-            half_open_probes=3,
             now_fn=clock.now,
         )
         breaker.record_failure()
@@ -187,7 +186,7 @@ class TestBreakerUnderThreads:
             return 1 if breaker.allow() else 0
 
         admitted = run_threads(worker)
-        assert sum(admitted) == 3  # the quota, no matter the interleaving
+        assert sum(admitted) == 1  # one probe, no matter the interleaving
 
     def test_mixed_success_failure_storm_keeps_invariants(self):
         clock = SimClock()
@@ -214,23 +213,6 @@ class TestBreakerUnderThreads:
         )
         assert breaker.consecutive_failures >= 0
 
-    def test_call_protocol_under_threads(self):
-        breaker = CircuitBreaker(
-            name="conc",
-            failure_threshold=10_000_000,  # never opens
-            now_fn=SimClock().now,
-        )
-
-        def worker(index):
-            total = 0
-            for n in range(200):
-                total += breaker.call(lambda: 1)
-            return total
-
-        totals = run_threads(worker)
-        assert totals == [200] * THREADS
-        assert breaker.state is BreakerState.CLOSED
-
 
 class TestRetryCallUnderThreads:
     def test_parallel_retry_loops_share_one_registry(self):
@@ -250,7 +232,7 @@ class TestRetryCallUnderThreads:
                 results.append(
                     retry_call(
                         flaky,
-                        BackoffPolicy(jitter_fraction=0.0),
+                        BackoffPolicy(),
                         metrics=metrics,
                         op=f"op-{index}",
                     )
@@ -289,11 +271,7 @@ class TestRetryCallUnderThreads:
         def worker(_index):
             return retry_call(
                 guarded,
-                BackoffPolicy(
-                    max_attempts=10,
-                    initial_delay_s=0.3,
-                    jitter_fraction=0.0,
-                ),
+                BackoffPolicy(max_attempts=10, initial_delay_s=0.3),
                 sleep=lambda s: clock.advance(s),
             )
 

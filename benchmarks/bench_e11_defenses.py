@@ -7,8 +7,6 @@ throughput collapse of the E2 crawler under login gating and rate limiting,
 and the Tor/proxy latency penalty the thesis cites.
 """
 
-import pytest
-
 from repro.crawler.crawler import MultiThreadedCrawler
 from repro.crawler.database import CrawlDatabase
 from repro.crawler.frontier import CrawlMode
@@ -27,7 +25,6 @@ from repro.defense.evaluator import (
 )
 from repro.defense.wifi_verification import deploy_routers
 from repro.geo.regions import city_by_name
-from repro.simnet.http import HttpTransport
 from repro.simnet.network import EgressKind
 from repro.workload import build_web_stack
 

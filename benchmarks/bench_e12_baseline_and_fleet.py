@@ -8,13 +8,11 @@ Two questions the thesis raises but does not quantify:
   how does a fleet of per-user-compliant accounts scale the attack?
 """
 
-import pytest
-
 from repro.attack.campaign import CheatingCampaign
 from repro.attack.fleet import AttackFleet
 from repro.attack.naive import NaiveAutoCheckinBot, NaiveBotConfig
 from repro.attack.spoofing import build_emulator_attacker
-from repro.attack.targeting import TargetVenue, VenueProfileAnalyzer
+from repro.attack.targeting import VenueProfileAnalyzer
 from repro.crawler import crawl_full_site
 from repro.workload import build_web_stack, build_world
 

@@ -6,8 +6,6 @@ spoofing attack and honest traffic against the defended service — the
 deployment decision a provider would actually face.
 """
 
-import pytest
-
 from repro.attack.spoofing import build_emulator_attacker
 from repro.defense.distance_bounding import DistanceBoundingVerifier
 from repro.defense.integration import (
@@ -20,7 +18,6 @@ from repro.defense.wifi_verification import (
     WifiVerificationService,
     deploy_routers,
 )
-from repro.geo.coordinates import GeoPoint
 from repro.geo.distance import destination_point
 from repro.geo.regions import city_by_name
 from repro.lbsn.models import CheckInStatus

@@ -7,8 +7,6 @@ flags on honest air travelers, and the rapid-fire window trades mall-blitz
 detection against false flags on genuine mall-crawlers.
 """
 
-import pytest
-
 from repro.geo.coordinates import GeoPoint
 from repro.geo.distance import destination_point, haversine_m
 from repro.geo.regions import US_CITIES

@@ -6,8 +6,6 @@ that methodology.  The bench probes services configured with different
 disposable probe accounts each discovery costs.
 """
 
-import pytest
-
 from repro.attack.probing import RuleProber
 from repro.lbsn.cheater_code import CheaterCode, CheaterCodeConfig
 from repro.lbsn.service import LbsnService

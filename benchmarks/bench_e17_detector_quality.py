@@ -5,8 +5,6 @@ precision/recall tradeoff is measurable — the evaluation the thesis's
 future-work section calls for.
 """
 
-import pytest
-
 from repro.analysis.detection import CheaterDetector, DetectorConfig
 from repro.analysis.evaluation import (
     best_f1,

@@ -6,13 +6,11 @@ zero code changes, only the loot differs.  Also checks the ID-clock
 account-age inference (§4.3) the analyses share across services.
 """
 
-import pytest
-
 from repro.analysis.growth import growth_model_from_crawl
 from repro.attack.scheduler import CheckInScheduler
 from repro.attack.spoofing import build_emulator_attacker
 from repro.attack.tour import TourPlanner, VenueCatalog
-from repro.lbsn.items import ItemRarity, ItemSystem, farm_items
+from repro.lbsn.items import ItemSystem, farm_items
 from repro.simnet.clock import SECONDS_PER_DAY
 from repro.workload import build_world
 

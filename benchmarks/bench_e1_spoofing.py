@@ -6,8 +6,6 @@ channels; earn points, the Adventurer badge after ten venues, and the
 mayorship after four daily check-ins.
 """
 
-import pytest
-
 from repro.attack.spoofing import (
     ApiHookSpoofer,
     BluetoothSpoofer,

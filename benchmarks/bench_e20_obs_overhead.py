@@ -138,7 +138,7 @@ def test_e20_obs_overhead(report_out, benchmark):
         f"(best {min(bare_times):.3f} s)",
         f"instrumented service: {instr_rate:,.0f} check-ins/s "
         f"(best {min(instr_times):.3f} s)",
-        f"per-pair ratios: "
+        "per-pair ratios: "
         + ", ".join(f"{ratio:.3f}" for ratio in pair_ratios),
         f"observability overhead (median of pair ratios): {overhead:+.1%} "
         f"(bar: < {MAX_OVERHEAD:.0%})",

@@ -12,7 +12,6 @@ import pytest
 from repro.crawler.crawler import MultiThreadedCrawler
 from repro.crawler.database import CrawlDatabase
 from repro.crawler.frontier import CrawlMode
-from repro.simnet.http import HttpTransport
 from repro.workload import build_web_stack
 
 #: Pages per sweep point; small enough to keep the bench under a minute.

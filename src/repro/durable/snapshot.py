@@ -7,17 +7,18 @@ with ``seq > snapshot.seq``.  The E23 bench measures exactly that trade
 
 File format — two JSON documents, header line then body::
 
-    {"format": "repro-snapshot", "version": 1,
+    {"format": "repro-snapshot", "version": 2,
      "checksum": "<sha256 of body bytes>", "length": <len(body)>}\\n
     <body bytes>
 
 The body carries the snapshot version again (belt and braces: the header
 can be regenerated, the body is what the checksum guards), the ``seq``
-watermark, the owning partition, both config dataclasses (so a restore
-can verify it is being loaded into a compatibly-configured ledger), and
-the full ledger state dict.  Writes are atomic — temp file + fsync +
-``os.replace`` — so a crash mid-snapshot leaves the previous snapshot
-intact and at worst a stray ``.tmp`` file.
+watermark, the owning partition, the ledger's
+:class:`~repro.analysis.detection.DetectorConfig` (so a restore scores
+with the thresholds the state was built under), and the full ledger state
+dict.  Writes are atomic — temp file + fsync + ``os.replace`` — so a
+crash mid-snapshot leaves the previous snapshot intact and at worst a
+stray ``.tmp`` file.
 
 Snapshots are named ``snapshot-<seq:012d>.json`` so the newest one is
 simply the lexicographically greatest file; superseded snapshots are left
@@ -37,11 +38,10 @@ from typing import List, Optional
 from repro.analysis.detection import DetectorConfig
 from repro.errors import ReproError
 from repro.obs.metrics import MetricsRegistry
-from repro.stream.detectors import StreamDetectorConfig
 from repro.stream.ledger import SuspicionLedger
 
 #: Bumped whenever the body layout changes incompatibly.
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 _FORMAT = "repro-snapshot"
 
@@ -58,7 +58,6 @@ class Snapshot:
     seq: int
     partition: int
     detector_config: dict
-    stream_config: dict
     ledger_state: dict
 
     def make_ledger(
@@ -66,10 +65,9 @@ class Snapshot:
         metrics: Optional[MetricsRegistry] = None,
         log=None,
     ) -> SuspicionLedger:
-        """A fresh ledger carrying this snapshot's configs and state."""
+        """A fresh ledger carrying this snapshot's config and state."""
         ledger = SuspicionLedger(
             config=DetectorConfig(**self.detector_config),
-            stream_config=StreamDetectorConfig(**self.stream_config),
             metrics=metrics,
             log=log,
         )
@@ -125,7 +123,6 @@ class SnapshotStore:
                 "seq": seq,
                 "partition": self.partition,
                 "detector_config": dataclasses.asdict(ledger.config),
-                "stream_config": dataclasses.asdict(ledger.stream_config),
                 "ledger_state": ledger.state_dict(),
             },
             sort_keys=True,
@@ -211,7 +208,6 @@ class SnapshotStore:
             seq=doc["seq"],
             partition=doc["partition"],
             detector_config=doc["detector_config"],
-            stream_config=doc["stream_config"],
             ledger_state=doc["ledger_state"],
         )
 

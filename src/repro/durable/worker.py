@@ -44,7 +44,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiler import ProfiledSection, SamplingProfiler
 from repro.obs.tracing import Tracer
 from repro.stream.bus import EventBus
-from repro.stream.detectors import StreamDetectorConfig
 from repro.stream.events import StreamEvent
 from repro.stream.ledger import SuspicionLedger
 
@@ -105,7 +104,6 @@ class DetectorWorker:
         partition: int,
         base_dir,
         config: Optional[DetectorConfig] = None,
-        stream_config: Optional[StreamDetectorConfig] = None,
         snapshot_every: int = 0,
         metrics: Optional[MetricsRegistry] = None,
         log: Optional[LogHub] = None,
@@ -119,7 +117,6 @@ class DetectorWorker:
         self.partition = partition
         self.label = f"partition-{partition:02d}"
         self.config = config or DetectorConfig()
-        self.stream_config = stream_config or StreamDetectorConfig()
         self.snapshot_every = snapshot_every
         root = Path(base_dir) / self.label
         self.wal_dir = root / "wal"
@@ -152,11 +149,7 @@ class DetectorWorker:
         # Shard ledgers never take the registry: the ledger's label-less
         # suspects gauge would be stomped by whichever shard wrote last,
         # and the plain-workload metric catalogue must not grow N copies.
-        return SuspicionLedger(
-            config=self.config,
-            stream_config=self.stream_config,
-            log=self._log,
-        )
+        return SuspicionLedger(config=self.config, log=self._log)
 
     # Intake ------------------------------------------------------------
 
@@ -311,7 +304,6 @@ class PartitionedDetectorPipeline:
         partitions: int,
         base_dir,
         config: Optional[DetectorConfig] = None,
-        stream_config: Optional[StreamDetectorConfig] = None,
         snapshot_every: int = 0,
         metrics: Optional[MetricsRegistry] = None,
         log: Optional[LogHub] = None,
@@ -325,7 +317,6 @@ class PartitionedDetectorPipeline:
                 partition,
                 self.base_dir,
                 config=config,
-                stream_config=stream_config,
                 snapshot_every=snapshot_every,
                 metrics=metrics,
                 log=log,
@@ -458,7 +449,6 @@ def cold_replay_digests(
     base_dir,
     partitions: int,
     config: Optional[DetectorConfig] = None,
-    stream_config: Optional[StreamDetectorConfig] = None,
     metrics: Optional[MetricsRegistry] = None,
     tracer: Optional[Tracer] = None,
 ) -> List[str]:
@@ -467,8 +457,8 @@ def cold_replay_digests(
     This is ``repro wal-replay``'s engine: construct workers over an
     existing ``<base_dir>/partition-NN/`` tree, run the recovery protocol
     on each, and report the digests — no bus, no service, no snapshots
-    taken.  Snapshot configs recorded in the tree take precedence over
-    the passed defaults (exactly as live recovery behaves).
+    taken.  A snapshot's recorded detector config takes precedence over
+    the passed default (exactly as live recovery behaves).
     """
     digests = []
     for partition in range(partitions):
@@ -476,7 +466,6 @@ def cold_replay_digests(
             partition,
             base_dir,
             config=config,
-            stream_config=stream_config,
             metrics=metrics,
             tracer=tracer,
         )

@@ -3,20 +3,23 @@
 The offline :class:`~repro.analysis.detection.CheaterDetector` scores users
 from a *crawl snapshot*: (1) above-normal activity as the recent/total
 check-in ratio, (2) below-normal rewards as badge shortfall, (3) suspicious
-geographic pattern as the city count of the check-in map.  The detectors in
-this module maintain the same three signals *incrementally* from the live
-event stream, so a verdict is available the moment a check-in commits —
-no re-crawl, no history rescan.
+geographic pattern as the city count of the check-in map.  The
+:class:`FactorTable` in this module keeps the same three signals
+*incrementally* from the live event stream, in one record per user, so a
+verdict is available the moment a check-in commits — no re-crawl, no
+history rescan.
 
-Memory is bounded under millions of users: every per-user table is an
-:class:`LruStateMap` capped at ``max_users`` entries with least-recently
--updated eviction (an evicted cheater that keeps cheating re-enters the
-table and re-accumulates quickly; an evicted dormant user costs nothing).
+Memory is bounded under millions of users: the per-user records live in an
+:class:`LruStateMap` capped at :data:`MAX_USERS` entries with
+least-recently-updated eviction (an evicted cheater that keeps cheating
+re-enters the table and re-accumulates quickly; an evicted dormant user
+costs nothing), and the venue recent-visitor copies in one capped at
+:data:`MAX_VENUES`.
 
 Factor parity with the offline detector:
 
-* **activity** — exact.  The detector replays the venue recent-visitor
-  list discipline (:data:`repro.lbsn.models.Venue.RECENT_VISITOR_LIMIT`
+* **activity** — exact.  The table replays the venue recent-visitor list
+  discipline (:data:`repro.lbsn.models.Venue.RECENT_VISITOR_LIMIT`
   distinct users, newest first) per venue and counts, per user, how many
   lists they currently appear on — precisely the crawler's
   ``RecentCheckins`` derived column — plus the same valid+flagged total.
@@ -30,32 +33,28 @@ Factor parity with the offline detector:
 
 from __future__ import annotations
 
-import math
-from collections import OrderedDict, deque
-from dataclasses import dataclass, field
-from typing import Deque, Generic, List, Optional, Tuple, TypeVar
+from collections import OrderedDict
+from typing import Generic, List, Optional, Tuple, TypeVar
 
 from repro.analysis.patterns import CITY_CLUSTER_RADIUS_M
 from repro.geo.coordinates import GeoPoint
 from repro.geo.distance import haversine_m
-from repro.obs.metrics import MetricsRegistry
+from repro.lbsn.models import Venue
 from repro.stream.events import (
     CheckInAccepted,
     CheckInFlagged,
     StreamEvent,
 )
 
-
-def _scored_counter(metrics: Optional[MetricsRegistry], detector: str):
-    """The ``repro_stream_events_scored_total{detector=...}`` child."""
-    if metrics is None:
-        return None
-    return metrics.counter(
-        "repro_stream_events_scored_total",
-        "Check-in events folded into streaming detector state, "
-        "by detector.",
-        ("detector",),
-    ).labels(detector)
+#: LRU bound on resident per-user factor records.
+MAX_USERS = 100_000
+#: LRU bound on per-venue recent-visitor copies.
+MAX_VENUES = 200_000
+#: Valid check-ins required before the pattern factor scores at all.
+MIN_PATTERN_POINTS = 5
+#: Cap on tracked city leaders per user (memory bound; far above the
+#: offline saturating count of 20, so saturation is unaffected).
+MAX_CITY_LEADERS = 64
 
 K = TypeVar("K")
 V = TypeVar("V")
@@ -134,148 +133,104 @@ class LruStateMap(Generic[K, V]):
             self._data[key] = decode_value(encoded)
 
 
-@dataclass
-class StreamDetectorConfig:
-    """Tunables shared by the online detectors."""
+class _UserFactors:
+    """One user's factor inputs.
 
-    #: LRU bound on per-user state entries (per detector).
-    max_users: int = 100_000
-    #: LRU bound on per-venue recent-visitor replicas.
-    max_venues: int = 200_000
-    #: Sliding window for the instantaneous activity rate.
-    activity_window_s: float = 7 * 86_400.0
-    #: Cap on buffered timestamps per user inside the window.
-    max_window_events: int = 512
-    #: "Who's been here" replica length (mirrors the venue page).
-    recent_visitor_limit: int = 10
-    #: Two points within this distance share a "city" (offline constant).
-    city_radius_m: float = CITY_CLUSTER_RADIUS_M
-    #: Points required before the pattern factor scores at all.
-    min_pattern_points: int = 5
-    #: Cap on tracked city leaders per user (memory bound; far above the
-    #: offline saturating count of 20, so saturation is unaffected).
-    max_city_leaders: int = 64
-
-
-# ---------------------------------------------------------------------------
-# Factor 1 — above-normal activity
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class _ActivityState:
-    """Per-user activity accumulators."""
-
-    total_checkins: int = 0
-    valid_checkins: int = 0
-    #: Venue recent-visitor lists this user currently appears on — the
-    #: streaming mirror of the crawler's ``RecentCheckins`` column.
-    recent_memberships: int = 0
-    #: Valid check-in timestamps inside the sliding window.
-    window: Deque[float] = field(default_factory=deque)
-    #: Trace of the newest event folded into this state (see
-    #: :mod:`repro.obs.context`) — lets a downstream flag cite the exact
-    #: request that pushed the score over the bar.
-    last_trace_id: Optional[str] = None
-
-
-class ActivityRateDetector:
-    """Sliding-window activity rate + exact recent/total ratio.
-
-    Maintains (a) a bounded deque of in-window timestamps per user — the
-    "how fast right now" signal the offline pipeline cannot see at all —
-    and (b) a replica of every venue's distinct recent-visitor list, from
-    which the Fig 4.1 recent/total ratio falls out incrementally.
+    ``total`` counts valid plus flagged check-ins and ``valid`` the
+    accepted ones (the points of the check-in map); ``recent`` is how many
+    venue recent-visitor lists the user currently appears on — the
+    streaming mirror of the crawler's ``RecentCheckins`` column;
+    ``badges`` sums the events' ``new_badge_count``; ``leaders`` are the
+    greedy city-cluster leaders (the discipline of
+    :func:`repro.analysis.patterns.cluster_cities`, applied online).
     """
+
+    __slots__ = ("total", "valid", "recent", "badges", "leaders")
 
     def __init__(
         self,
-        config: Optional[StreamDetectorConfig] = None,
-        metrics: Optional[MetricsRegistry] = None,
+        total: int = 0,
+        valid: int = 0,
+        recent: int = 0,
+        badges: int = 0,
+        leaders: Optional[List[GeoPoint]] = None,
     ) -> None:
-        self.config = config or StreamDetectorConfig()
-        self.users: LruStateMap[int, _ActivityState] = LruStateMap(
-            self.config.max_users
-        )
-        # Venue replica eviction must release its members' counters.
+        self.total = total
+        self.valid = valid
+        self.recent = recent
+        self.badges = badges
+        self.leaders = [] if leaders is None else leaders
+
+
+class FactorTable:
+    """The three Chapter-4 factors for every resident user.
+
+    A check-in touches its user's record once.  An accepted one bumps the
+    totals and badges, moves the user to the head of the venue's
+    recent-visitor copy (from which the Fig 4.1 recent/total ratio falls
+    out), and either joins one of the user's city clusters (one haversine
+    per leader, at most :data:`MAX_CITY_LEADERS`) or founds a new one —
+    the greedy-leader rule the offline Fig 4.3/4.4 analysis applies to the
+    crawled check-in map.  A flagged one only counts toward the total.
+    """
+
+    def __init__(self) -> None:
+        self.users: LruStateMap[int, _UserFactors] = LruStateMap(MAX_USERS)
+        # Venue copy eviction must release its members' memberships.
         self.venues: LruStateMap[int, List[int]] = LruStateMap(
-            self.config.max_venues, on_evict=self._venue_evicted
+            MAX_VENUES, on_evict=self._venue_evicted
         )
-        self.events_seen = 0
-        self._scored = _scored_counter(metrics, "activity")
 
     def _venue_evicted(self, venue_id: int, visitors: List[int]) -> None:
         for user_id in visitors:
             state = self.users.get(user_id)
-            if state is not None and state.recent_memberships > 0:
-                state.recent_memberships -= 1
+            if state is not None and state.recent > 0:
+                state.recent -= 1
 
     def on_event(self, event: StreamEvent) -> None:
         """Consume one bus event (non-check-in events are ignored)."""
         if isinstance(event, CheckInAccepted):
-            self.events_seen += 1
-            if self._scored is not None:
-                self._scored.inc()
-            state = self.users.touch(event.user_id, _ActivityState)
-            state.total_checkins += 1
-            state.valid_checkins += 1
-            state.last_trace_id = event.trace_id
-            self._push_window(state, event.timestamp)
-            self._update_recent(event.venue_id, event.user_id)
+            user_id = event.user_id
+            state = self.users.touch(user_id, _UserFactors)
+            state.total += 1
+            state.valid += 1
+            state.badges += event.new_badge_count
+
+            visitors = self.venues.touch(event.venue_id, list)
+            if user_id in visitors:
+                visitors.remove(user_id)
+            else:
+                state.recent += 1
+            visitors.insert(0, user_id)
+            if len(visitors) > Venue.RECENT_VISITOR_LIMIT:
+                displaced = self.users.get(visitors.pop())
+                if displaced is not None and displaced.recent > 0:
+                    displaced.recent -= 1
+
+            point = event.venue_location
+            leaders = state.leaders
+            for leader in leaders:
+                if haversine_m(leader, point) <= CITY_CLUSTER_RADIUS_M:
+                    break
+            else:
+                if len(leaders) < MAX_CITY_LEADERS:
+                    leaders.append(point)
         elif isinstance(event, CheckInFlagged):
-            self.events_seen += 1
-            if self._scored is not None:
-                self._scored.inc()
-            state = self.users.touch(event.user_id, _ActivityState)
-            state.total_checkins += 1
-            state.last_trace_id = event.trace_id
-
-    def _push_window(self, state: _ActivityState, now: float) -> None:
-        window = state.window
-        window.append(now)
-        horizon = now - self.config.activity_window_s
-        while window and window[0] < horizon:
-            window.popleft()
-        while len(window) > self.config.max_window_events:
-            window.popleft()
-
-    def _update_recent(self, venue_id: int, user_id: int) -> None:
-        visitors = self.venues.touch(venue_id, list)
-        if user_id in visitors:
-            visitors.remove(user_id)
-        else:
-            state = self.users.get(user_id)
-            if state is not None:
-                state.recent_memberships += 1
-        visitors.insert(0, user_id)
-        if len(visitors) > self.config.recent_visitor_limit:
-            evicted = visitors.pop()
-            evicted_state = self.users.get(evicted)
-            if evicted_state is not None and evicted_state.recent_memberships > 0:
-                evicted_state.recent_memberships -= 1
+            self.users.touch(event.user_id, _UserFactors).total += 1
 
     # Read side ---------------------------------------------------------
 
     def totals(self, user_id: int) -> Tuple[int, int]:
-        """(recent_memberships, total_checkins) — Fig 4.1's two axes."""
+        """(recent, total) — Fig 4.1's two axes."""
         state = self.users.get(user_id)
         if state is None:
             return (0, 0)
-        return (state.recent_memberships, state.total_checkins)
+        return (state.recent, state.total)
 
-    def last_trace_id(self, user_id: int) -> Optional[str]:
-        """Trace of the newest event scored for this user, if any."""
+    def city_count(self, user_id: int) -> int:
+        """Distinct city clusters seen for this user."""
         state = self.users.get(user_id)
-        return None if state is None else state.last_trace_id
-
-    def rate_per_hour(self, user_id: int, now: float) -> float:
-        """Valid check-ins per hour inside the sliding window."""
-        state = self.users.get(user_id)
-        if state is None or not state.window:
-            return 0.0
-        horizon = now - self.config.activity_window_s
-        count = sum(1 for ts in state.window if ts >= horizon)
-        return count / (self.config.activity_window_s / 3_600.0)
+        return 0 if state is None else len(state.leaders)
 
     def activity_score(self, user_id: int, saturating_ratio: float) -> float:
         """The offline activity factor, from streaming state."""
@@ -284,102 +239,6 @@ class ActivityRateDetector:
             return 0.0
         return min(1.0, (recent / total) / saturating_ratio)
 
-    # Snapshot hooks ----------------------------------------------------
-
-    @staticmethod
-    def _encode_user(state: _ActivityState) -> list:
-        return [
-            state.total_checkins,
-            state.valid_checkins,
-            state.recent_memberships,
-            list(state.window),
-            state.last_trace_id,
-        ]
-
-    @staticmethod
-    def _decode_user(doc: list) -> _ActivityState:
-        return _ActivityState(
-            total_checkins=doc[0],
-            valid_checkins=doc[1],
-            recent_memberships=doc[2],
-            window=deque(doc[3]),
-            last_trace_id=doc[4],
-        )
-
-    def state_dict(self) -> dict:
-        """JSON-able snapshot of every accumulator this detector owns."""
-        return {
-            "events_seen": self.events_seen,
-            "users": self.users.state_dict(self._encode_user),
-            "venues": self.venues.state_dict(list),
-        }
-
-    def load_state_dict(self, doc: dict) -> None:
-        """Restore a :meth:`state_dict` snapshot (replaces contents)."""
-        self.events_seen = doc["events_seen"]
-        self.users.load_state_dict(doc["users"], self._decode_user)
-        self.venues.load_state_dict(doc["venues"], list)
-
-
-# ---------------------------------------------------------------------------
-# Factor 2 — below-normal rewards
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class _RewardState:
-    """Per-user reward accumulators."""
-
-    total_checkins: int = 0
-    badge_count: int = 0
-    points: int = 0
-
-
-class RewardRateDetector:
-    """Streaming badge-shortfall: rewards earned vs. activity claimed.
-
-    A cheater piles up check-ins faster than the badge catalogue pays out
-    (Fig 4.2's plateau), so badges-per-check-in collapses.  The event
-    stream carries each check-in's newly earned badge count, making the
-    offline factor exactly reproducible online.
-    """
-
-    def __init__(
-        self,
-        config: Optional[StreamDetectorConfig] = None,
-        metrics: Optional[MetricsRegistry] = None,
-    ) -> None:
-        self.config = config or StreamDetectorConfig()
-        self.users: LruStateMap[int, _RewardState] = LruStateMap(
-            self.config.max_users
-        )
-        self.events_seen = 0
-        self._scored = _scored_counter(metrics, "reward")
-
-    def on_event(self, event: StreamEvent) -> None:
-        """Consume one bus event (non-check-in events are ignored)."""
-        if isinstance(event, CheckInAccepted):
-            self.events_seen += 1
-            if self._scored is not None:
-                self._scored.inc()
-            state = self.users.touch(event.user_id, _RewardState)
-            state.total_checkins += 1
-            state.badge_count += event.new_badge_count
-            state.points += event.points
-        elif isinstance(event, CheckInFlagged):
-            self.events_seen += 1
-            if self._scored is not None:
-                self._scored.inc()
-            state = self.users.touch(event.user_id, _RewardState)
-            state.total_checkins += 1
-
-    def totals(self, user_id: int) -> Tuple[int, int]:
-        """(badge_count, total_checkins) for one user."""
-        state = self.users.get(user_id)
-        if state is None:
-            return (0, 0)
-        return (state.badge_count, state.total_checkins)
-
     def reward_score(
         self,
         user_id: int,
@@ -387,204 +246,53 @@ class RewardRateDetector:
         badge_ceiling: float,
     ) -> float:
         """The offline reward factor, from streaming state."""
-        badges, total = self.totals(user_id)
-        if total <= 0:
+        state = self.users.get(user_id)
+        if state is None or state.total <= 0:
             return 0.0
         expected = max(
             1.0,
-            min(badge_ceiling, total * expected_badges_per_100 / 100.0),
+            min(badge_ceiling, state.total * expected_badges_per_100 / 100.0),
         )
-        return max(0.0, 1.0 - badges / expected)
-
-    # Snapshot hooks ----------------------------------------------------
-
-    @staticmethod
-    def _encode_user(state: _RewardState) -> list:
-        return [state.total_checkins, state.badge_count, state.points]
-
-    @staticmethod
-    def _decode_user(doc: list) -> _RewardState:
-        return _RewardState(
-            total_checkins=doc[0], badge_count=doc[1], points=doc[2]
-        )
-
-    def state_dict(self) -> dict:
-        """JSON-able snapshot of every accumulator this detector owns."""
-        return {
-            "events_seen": self.events_seen,
-            "users": self.users.state_dict(self._encode_user),
-        }
-
-    def load_state_dict(self, doc: dict) -> None:
-        """Restore a :meth:`state_dict` snapshot (replaces contents)."""
-        self.events_seen = doc["events_seen"]
-        self.users.load_state_dict(doc["users"], self._decode_user)
-
-
-# ---------------------------------------------------------------------------
-# Factor 3 — suspicious geographic pattern
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class _GeoState:
-    """Per-user running geography."""
-
-    point_count: int = 0
-    #: Greedy city-cluster leaders (same discipline as
-    #: :func:`repro.analysis.patterns.cluster_cities`, applied online).
-    leaders: List[GeoPoint] = field(default_factory=list)
-    #: Running bounding box (south, west, north, east).
-    south: float = 90.0
-    west: float = 180.0
-    north: float = -90.0
-    east: float = -180.0
-    last_position: Optional[GeoPoint] = None
-    last_timestamp: float = 0.0
-    #: Fastest implied hop ever observed (m/s); super-human values are the
-    #: §2.3 speed rule reappearing as an analysis signal.
-    max_speed_mps: float = 0.0
-
-
-class GeoDispersionDetector:
-    """Streaming geographic dispersion: city count, bbox, hop speed.
-
-    Each valid check-in either joins an existing city cluster (one
-    haversine per resident leader, ≤ ``max_city_leaders``) or founds a new
-    one — the same greedy-leader rule the offline Fig 4.3/4.4 analysis
-    applies to the crawled check-in map, evaluated point-by-point.
-    """
-
-    def __init__(
-        self,
-        config: Optional[StreamDetectorConfig] = None,
-        metrics: Optional[MetricsRegistry] = None,
-    ) -> None:
-        self.config = config or StreamDetectorConfig()
-        self.users: LruStateMap[int, _GeoState] = LruStateMap(
-            self.config.max_users
-        )
-        self.events_seen = 0
-        self._scored = _scored_counter(metrics, "geo")
-
-    def on_event(self, event: StreamEvent) -> None:
-        """Consume one bus event (only accepted check-ins map a point)."""
-        if not isinstance(event, CheckInAccepted):
-            return
-        self.events_seen += 1
-        if self._scored is not None:
-            self._scored.inc()
-        state = self.users.touch(event.user_id, _GeoState)
-        point = event.venue_location
-        state.point_count += 1
-
-        # Running bounding box.
-        if point.latitude < state.south:
-            state.south = point.latitude
-        if point.latitude > state.north:
-            state.north = point.latitude
-        if point.longitude < state.west:
-            state.west = point.longitude
-        if point.longitude > state.east:
-            state.east = point.longitude
-
-        # Last-position hop speed.
-        if state.last_position is not None:
-            elapsed = event.timestamp - state.last_timestamp
-            distance = haversine_m(state.last_position, point)
-            if elapsed > 0.0:
-                speed = distance / elapsed
-            else:
-                speed = math.inf if distance > 0.0 else 0.0
-            if speed > state.max_speed_mps:
-                state.max_speed_mps = speed
-        state.last_position = point
-        state.last_timestamp = event.timestamp
-
-        # Greedy leader clustering, online.
-        radius = self.config.city_radius_m
-        for leader in state.leaders:
-            if haversine_m(leader, point) <= radius:
-                break
-        else:
-            if len(state.leaders) < self.config.max_city_leaders:
-                state.leaders.append(point)
-
-    # Read side ---------------------------------------------------------
-
-    def city_count(self, user_id: int) -> int:
-        """Distinct city clusters seen for this user."""
-        state = self.users.get(user_id)
-        return 0 if state is None else len(state.leaders)
-
-    def bbox(self, user_id: int) -> Optional[Tuple[float, float, float, float]]:
-        """(south, west, north, east) of everywhere the user checked in."""
-        state = self.users.get(user_id)
-        if state is None or state.point_count == 0:
-            return None
-        return (state.south, state.west, state.north, state.east)
-
-    def max_speed(self, user_id: int) -> float:
-        """Fastest implied inter-check-in speed (m/s) ever observed."""
-        state = self.users.get(user_id)
-        return 0.0 if state is None else state.max_speed_mps
+        return max(0.0, 1.0 - state.badges / expected)
 
     def pattern_score(self, user_id: int, saturating_city_count: int) -> float:
         """The offline pattern factor, from streaming state."""
         state = self.users.get(user_id)
-        if state is None or state.point_count < self.config.min_pattern_points:
+        if state is None or state.valid < MIN_PATTERN_POINTS:
             return 0.0
         return min(1.0, len(state.leaders) / saturating_city_count)
 
     # Snapshot hooks ----------------------------------------------------
-    #
-    # ``max_speed_mps`` can legitimately be ``inf`` (zero-elapsed hop);
-    # the JSON encoder round-trips it via the non-strict ``Infinity``
-    # literal, which :mod:`json` accepts by default.
 
     @staticmethod
-    def _encode_user(state: _GeoState) -> list:
+    def _encode_user(state: _UserFactors) -> list:
         return [
-            state.point_count,
+            state.total,
+            state.valid,
+            state.recent,
+            state.badges,
             [[p.latitude, p.longitude] for p in state.leaders],
-            [state.south, state.west, state.north, state.east],
-            (
-                None
-                if state.last_position is None
-                else [
-                    state.last_position.latitude,
-                    state.last_position.longitude,
-                ]
-            ),
-            state.last_timestamp,
-            state.max_speed_mps,
         ]
 
     @staticmethod
-    def _decode_user(doc: list) -> _GeoState:
-        south, west, north, east = doc[2]
-        return _GeoState(
-            point_count=doc[0],
-            leaders=[GeoPoint(lat, lon) for lat, lon in doc[1]],
-            south=south,
-            west=west,
-            north=north,
-            east=east,
-            last_position=(
-                None if doc[3] is None else GeoPoint(doc[3][0], doc[3][1])
-            ),
-            last_timestamp=doc[4],
-            max_speed_mps=doc[5],
+    def _decode_user(doc: list) -> _UserFactors:
+        total, valid, recent, badges, leaders = doc
+        return _UserFactors(
+            total,
+            valid,
+            recent,
+            badges,
+            [GeoPoint(lat, lon) for lat, lon in leaders],
         )
 
     def state_dict(self) -> dict:
-        """JSON-able snapshot of every accumulator this detector owns."""
+        """JSON-able snapshot of both maps."""
         return {
-            "events_seen": self.events_seen,
             "users": self.users.state_dict(self._encode_user),
+            "venues": self.venues.state_dict(list),
         }
 
     def load_state_dict(self, doc: dict) -> None:
         """Restore a :meth:`state_dict` snapshot (replaces contents)."""
-        self.events_seen = doc["events_seen"]
         self.users.load_state_dict(doc["users"], self._decode_user)
+        self.venues.load_state_dict(doc["venues"], list)

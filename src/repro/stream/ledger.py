@@ -1,7 +1,8 @@
 """The live :class:`SuspicionLedger`: Chapter-4 verdicts at check-in time.
 
-Subscribes the three online detectors to the event stream and keeps a
-rolling set of suspects with the *same* scoring semantics, thresholds, and
+Folds the event stream into one
+:class:`~repro.stream.detectors.FactorTable` and keeps a rolling set of
+suspects with the *same* scoring semantics, thresholds, and
 :class:`~repro.analysis.detection.SuspicionReport` records as the offline
 :class:`~repro.analysis.detection.CheaterDetector` — the ledger is the
 "find cheaters Foursquare hasn't found" tool of §4.3 run against the
@@ -27,12 +28,7 @@ from repro.analysis.detection import DetectorConfig, SuspicionReport
 from repro.obs.log import LogHub
 from repro.obs.metrics import MetricsRegistry
 from repro.stream.bus import EventBus
-from repro.stream.detectors import (
-    ActivityRateDetector,
-    GeoDispersionDetector,
-    RewardRateDetector,
-    StreamDetectorConfig,
-)
+from repro.stream.detectors import FactorTable
 from repro.stream.events import CheckInAccepted, CheckInFlagged, StreamEvent
 
 
@@ -45,17 +41,13 @@ class SuspicionLedger:
         The *offline* detector thresholds — passing the same instance to
         both this ledger and a :class:`CheaterDetector` guarantees the
         online/offline parity the E19 bench measures.
-    stream_config:
-        Memory bounds and window sizes for the incremental detectors.
     metrics:
         Optional :class:`~repro.obs.MetricsRegistry`.  The ledger exports
         how many check-ins it has scored
         (``repro_ledger_checkins_scored_total``), how many times a user
         newly crossed the reporting bar
         (``repro_ledger_flags_raised_total``), and the current suspect
-        count (``repro_ledger_suspects``); the three detectors export
-        their per-detector scoring volume
-        (``repro_stream_events_scored_total{detector=...}``).
+        count (``repro_ledger_suspects``).
     log:
         Optional :class:`~repro.obs.log.LogHub`.  Each time a user newly
         crosses the reporting bar the ledger emits one ``ledger.flag``
@@ -67,15 +59,11 @@ class SuspicionLedger:
     def __init__(
         self,
         config: Optional[DetectorConfig] = None,
-        stream_config: Optional[StreamDetectorConfig] = None,
         metrics: Optional[MetricsRegistry] = None,
         log: Optional[LogHub] = None,
     ) -> None:
         self.config = config or DetectorConfig()
-        self.stream_config = stream_config or StreamDetectorConfig()
-        self.activity = ActivityRateDetector(self.stream_config, metrics)
-        self.rewards = RewardRateDetector(self.stream_config, metrics)
-        self.geography = GeoDispersionDetector(self.stream_config, metrics)
+        self.factors = FactorTable()
         self._logger = log.logger("stream.ledger") if log is not None else None
         self._suspects: Dict[int, SuspicionReport] = {}
         #: Trace that raised each live flag (user_id → trace_id).
@@ -88,7 +76,6 @@ class SuspicionLedger:
         self._pinned: Dict[int, str] = {}
         self._lock = threading.Lock()
         self.events_processed = 0
-        self.last_seq = -1
         if metrics is not None:
             self._scored_metric = metrics.counter(
                 "repro_ledger_checkins_scored_total",
@@ -107,18 +94,20 @@ class SuspicionLedger:
             self._flags_metric = None
             self._suspects_metric = None
 
+    @property
+    def activity(self) -> FactorTable:
+        """The factor table, under the name perfbench's per-layer
+        ``stream.ledger.users_resident`` metric reads."""
+        return self.factors
+
     # Event intake -------------------------------------------------------
 
     def on_event(self, event: StreamEvent) -> None:
-        """Feed one bus event through all detectors, then rescore."""
-        self.activity.on_event(event)
-        self.rewards.on_event(event)
-        self.geography.on_event(event)
+        """Fold one bus event into the factor table, then rescore."""
+        self.factors.on_event(event)
         if isinstance(event, (CheckInAccepted, CheckInFlagged)):
             with self._lock:
                 self.events_processed += 1
-                if event.seq > self.last_seq:
-                    self.last_seq = event.seq
                 self._rescore(event.user_id, trace_id=event.trace_id)
             if self._scored_metric is not None:
                 self._scored_metric.inc()
@@ -139,18 +128,19 @@ class SuspicionLedger:
         reading streaming state instead of crawl rows.
         """
         config = self.config
-        recent, total = self.activity.totals(user_id)
+        factors = self.factors
+        recent, total = factors.totals(user_id)
         report = SuspicionReport(user_id=user_id, total_checkins=total)
         if total <= 0:
             return report
-        report.activity_score = self.activity.activity_score(
+        report.activity_score = factors.activity_score(
             user_id, config.saturating_ratio
         )
-        report.reward_score = self.rewards.reward_score(
+        report.reward_score = factors.reward_score(
             user_id, config.expected_badges_per_100, config.badge_ceiling
         )
-        report.city_count = self.geography.city_count(user_id)
-        report.pattern_score = self.geography.pattern_score(
+        report.city_count = factors.city_count(user_id)
+        report.pattern_score = factors.pattern_score(
             user_id, config.saturating_city_count
         )
         return report
@@ -173,10 +163,6 @@ class SuspicionLedger:
             if newly_flagged:
                 if self._flags_metric is not None:
                     self._flags_metric.inc()
-                # Lazy-read rescores carry no event; fall back to the
-                # newest trace the activity detector folded in.
-                if trace_id is None:
-                    trace_id = self.activity.last_trace_id(user_id)
                 self._flag_traces[user_id] = trace_id
                 if self._logger is not None:
                     self._logger.info(
@@ -297,11 +283,10 @@ class SuspicionLedger:
     # environment-dependent.
 
     def state_dict(self) -> dict:
-        """JSON-able snapshot of all ledger + detector state."""
+        """JSON-able snapshot of all ledger + factor-table state."""
         with self._lock:
             return {
                 "events_processed": self.events_processed,
-                "last_seq": self.last_seq,
                 "suspects": [
                     dataclasses.asdict(self._suspects[user_id])
                     for user_id in sorted(self._suspects)
@@ -314,16 +299,13 @@ class SuspicionLedger:
                     [user_id, self._pinned[user_id]]
                     for user_id in sorted(self._pinned)
                 ],
-                "activity": self.activity.state_dict(),
-                "rewards": self.rewards.state_dict(),
-                "geography": self.geography.state_dict(),
+                "factors": self.factors.state_dict(),
             }
 
     def load_state_dict(self, doc: dict) -> None:
         """Restore a :meth:`state_dict` snapshot (replaces all state)."""
         with self._lock:
             self.events_processed = doc["events_processed"]
-            self.last_seq = doc["last_seq"]
             self._suspects = {
                 report["user_id"]: SuspicionReport(**report)
                 for report in doc["suspects"]
@@ -331,14 +313,8 @@ class SuspicionLedger:
             self._flag_traces = {
                 user_id: trace for user_id, trace in doc["flag_traces"]
             }
-            # Pre-pinning snapshots (SNAPSHOT_VERSION 1 trees written
-            # before the adversary PR) simply carry no pins.
-            self._pinned = {
-                user_id: rule for user_id, rule in doc.get("pinned", [])
-            }
-            self.activity.load_state_dict(doc["activity"])
-            self.rewards.load_state_dict(doc["rewards"])
-            self.geography.load_state_dict(doc["geography"])
+            self._pinned = {user_id: rule for user_id, rule in doc["pinned"]}
+            self.factors.load_state_dict(doc["factors"])
         if self._suspects_metric is not None:
             self._suspects_metric.set(len(self._suspects))
 
@@ -353,7 +329,5 @@ class SuspicionLedger:
         """
         doc = self.state_dict()
         doc.pop("flag_traces")
-        for entry in doc["activity"]["users"]["entries"]:
-            entry[1][4] = None  # last_trace_id slot
         payload = json.dumps(doc, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(payload.encode()).hexdigest()

@@ -315,6 +315,27 @@ class TestSnapshotAndWalReplay:
         assert main(["wal-replay", "--dir", str(clone)]) == 1
         assert "REPLAY FAILED" in capsys.readouterr().err
 
+    def test_wal_replay_fails_on_old_snapshot_version(
+        self, tree, tmp_path, capsys
+    ):
+        import json
+        import shutil
+
+        clone = tmp_path / "old-snapshot"
+        shutil.copytree(tree, clone)
+        # Version 1 bodies carry the per-detector layout the factor table
+        # replaced; recovery must refuse them rather than misread them.
+        snapshots = clone / "partition-00" / "snapshots"
+        newest = sorted(snapshots.glob("snapshot-*.json"))[-1]
+        header, body = newest.read_bytes().split(b"\n", 1)
+        doc = json.loads(header)
+        doc["version"] = 1
+        newest.write_bytes(json.dumps(doc).encode() + b"\n" + body)
+        assert main(["wal-replay", "--dir", str(clone)]) == 1
+        err = capsys.readouterr().err
+        assert "REPLAY FAILED" in err
+        assert "unsupported snapshot version 1" in err
+
 
 def _fake_adversary_report(catch_digest, fp_digest="fp-1"):
     from repro.adversary import AdversaryConfig, AdversaryReport

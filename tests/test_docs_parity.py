@@ -51,7 +51,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiler import SamplingProfiler
 from repro.simnet.clock import SimClock
 from repro.simnet.http import Router
-from repro.stream.detectors import StreamDetectorConfig
+from repro.stream import detectors
 from repro.stream.events import CheckInAccepted
 
 REPO = Path(__file__).resolve().parent.parent
@@ -117,20 +117,22 @@ def exercise_durable(metrics, root):
             only_labels=("partition-00",),
         )
     )
-    worker = DetectorWorker(
-        0,
-        root / "shards",
-        config=DetectorConfig(min_total_checkins=10),
-        stream_config=StreamDetectorConfig(max_users=64, max_venues=64),
-        snapshot_every=10,
-        metrics=metrics,
-        faults=FaultInjector(plan),
-    )
-    for event in events:
-        worker.on_event(event)  # first applied event crashes the worker
-    assert worker.crashed
-    worker.recover()
-    worker.close()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(detectors, "MAX_USERS", 64)
+        patch.setattr(detectors, "MAX_VENUES", 64)
+        worker = DetectorWorker(
+            0,
+            root / "shards",
+            config=DetectorConfig(min_total_checkins=10),
+            snapshot_every=10,
+            metrics=metrics,
+            faults=FaultInjector(plan),
+        )
+        for event in events:
+            worker.on_event(event)  # first applied event crashes the worker
+        assert worker.crashed
+        worker.recover()
+        worker.close()
 
     store = SnapshotStore(root / "snaps", metrics=metrics)
     store.write(worker.ledger, seq=events[-1].seq)
@@ -442,6 +444,7 @@ ANCHORS = {
     },
     "EXPERIMENTS.md": {
         "e26-entry": ("## E26 ", "docs/ADVERSARY.md", "E26_adversary.txt"),
+        "e19-lru-bounds": ("`MAX_USERS = 100_000`", "`MAX_VENUES = 200_000`"),
     },
     "DESIGN.md": {"e26-bench": ("benchmarks/bench_e26_adversary.py", "E26")},
     "README.md": {"adversary-verb": ("repro adversary",)},
@@ -480,6 +483,9 @@ class TestDocAnchors:
         assert STORM_WEB_FAILURE == 0.10
         assert (STORM_LATENCY_S, STORM_LATENCY_PROBABILITY) == (0.04, 0.10)
         assert WITNESS_WINDOW_S == 120.0
+        # EXPERIMENTS.md §E19's factor-table LRU bounds.
+        assert detectors.MAX_USERS == 100_000
+        assert detectors.MAX_VENUES == 200_000
 
     def test_toolkit_names_resolve(self):
         """Each class RESILIENCE.md's module list names lives in the

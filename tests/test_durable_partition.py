@@ -17,8 +17,8 @@ from repro.durable.partition import (
 )
 from repro.durable.worker import PartitionedDetectorPipeline
 from repro.geo.coordinates import GeoPoint
+from repro.stream import detectors
 from repro.stream.bus import EventBus
-from repro.stream.detectors import StreamDetectorConfig
 from repro.stream.events import (
     CheckInAccepted,
     CheckInFlagged,
@@ -30,7 +30,13 @@ from repro.stream.events import (
 from repro.stream.ledger import SuspicionLedger
 
 CONFIG = DetectorConfig(min_total_checkins=10)
-STREAM_CONFIG = StreamDetectorConfig(max_users=256, max_venues=256)
+
+
+@pytest.fixture
+def small_bounds(monkeypatch):
+    """Factor-table LRU bounds of 256 users and 256 venues."""
+    monkeypatch.setattr(detectors, "MAX_USERS", 256)
+    monkeypatch.setattr(detectors, "MAX_VENUES", 256)
 
 
 def checkin(seq, user_id, venue_id=0, flagged=False):
@@ -112,7 +118,9 @@ class TestRouter:
 
 
 class TestSinglePartitionEquivalence:
-    def test_n1_pipeline_is_exactly_a_plain_ledger(self, tmp_path):
+    def test_n1_pipeline_is_exactly_a_plain_ledger(
+        self, tmp_path, small_bounds
+    ):
         """With one shard nothing is split: digests must match exactly."""
         events = []
         for seq in range(300):
@@ -124,10 +132,8 @@ class TestSinglePartitionEquivalence:
                     flagged=(seq % 7 == 0),
                 )
             )
-        plain = SuspicionLedger(config=CONFIG, stream_config=STREAM_CONFIG)
-        with PartitionedDetectorPipeline(
-            1, tmp_path, config=CONFIG, stream_config=STREAM_CONFIG
-        ) as pipeline:
+        plain = SuspicionLedger(config=CONFIG)
+        with PartitionedDetectorPipeline(1, tmp_path, config=CONFIG) as pipeline:
             for event in events:
                 plain.on_event(event)
                 pipeline.on_event(event)
@@ -136,10 +142,10 @@ class TestSinglePartitionEquivalence:
                 plain.suspect_ids()
             )
 
-    def test_sharded_run_routes_each_user_to_one_wal(self, tmp_path):
-        with PartitionedDetectorPipeline(
-            4, tmp_path, config=CONFIG, stream_config=STREAM_CONFIG
-        ) as pipeline:
+    def test_sharded_run_routes_each_user_to_one_wal(
+        self, tmp_path, small_bounds
+    ):
+        with PartitionedDetectorPipeline(4, tmp_path, config=CONFIG) as pipeline:
             for seq in range(200):
                 pipeline.on_event(checkin(seq, user_id=seq % 20))
             per_shard = [w.wal.appended for w in pipeline.workers]
@@ -176,11 +182,9 @@ class TestDurableBusTap:
         assert bus.subscriber_names() == ["plain"]
         bus.close()
 
-    def test_pipeline_attach_taps_the_bus(self, tmp_path):
+    def test_pipeline_attach_taps_the_bus(self, tmp_path, small_bounds):
         bus = EventBus()
-        with PartitionedDetectorPipeline(
-            2, tmp_path, config=CONFIG, stream_config=STREAM_CONFIG
-        ) as pipeline:
+        with PartitionedDetectorPipeline(2, tmp_path, config=CONFIG) as pipeline:
             pipeline.attach(bus)
             for seq in range(50):
                 bus.publish(checkin(seq, user_id=seq % 6))

@@ -22,7 +22,7 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.faults.points import POINT_DURABLE_WORKER
 from repro.geo.coordinates import GeoPoint
-from repro.stream.detectors import StreamDetectorConfig
+from repro.stream import detectors
 from repro.stream.events import CheckInAccepted, CheckInFlagged
 from repro.stream.ledger import SuspicionLedger
 from repro.workload.durable import (
@@ -34,7 +34,13 @@ from repro.workload.durable import (
 )
 
 CONFIG = DetectorConfig(min_total_checkins=10)
-STREAM_CONFIG = StreamDetectorConfig(max_users=128, max_venues=128)
+
+
+@pytest.fixture
+def small_bounds(monkeypatch):
+    """Factor-table LRU bounds of 128 users and 128 venues."""
+    monkeypatch.setattr(detectors, "MAX_USERS", 128)
+    monkeypatch.setattr(detectors, "MAX_VENUES", 128)
 
 
 def checkin(seq, user_id, venue_id=0, flagged=False):
@@ -74,10 +80,10 @@ def instant_killer():
 
 def make_worker(tmp_path, **kwargs):
     kwargs.setdefault("config", CONFIG)
-    kwargs.setdefault("stream_config", STREAM_CONFIG)
     return DetectorWorker(0, tmp_path, **kwargs)
 
 
+@pytest.mark.usefixtures("small_bounds")
 class TestWorkerCrashSemantics:
     def test_crash_kills_ledger_but_never_the_wal(self, tmp_path):
         worker = make_worker(tmp_path, faults=instant_killer())
@@ -98,7 +104,7 @@ class TestWorkerCrashSemantics:
     def test_recovery_rebuilds_identical_state(self, tmp_path):
         events = storm_events(50)
         worker = make_worker(tmp_path, faults=instant_killer())
-        control = SuspicionLedger(config=CONFIG, stream_config=STREAM_CONFIG)
+        control = SuspicionLedger(config=CONFIG)
         for event in events:
             worker.on_event(event)
             control.on_event(event)
@@ -123,7 +129,7 @@ class TestWorkerCrashSemantics:
     def test_snapshot_cadence_bounds_replay(self, tmp_path):
         events = storm_events(35)
         worker = make_worker(tmp_path, snapshot_every=10)
-        control = SuspicionLedger(config=CONFIG, stream_config=STREAM_CONFIG)
+        control = SuspicionLedger(config=CONFIG)
         for event in events:
             worker.on_event(event)
             control.on_event(event)

@@ -18,12 +18,18 @@ from repro.durable.snapshot import (
     SnapshotStore,
 )
 from repro.geo.coordinates import GeoPoint
-from repro.stream.detectors import StreamDetectorConfig
+from repro.stream import detectors
 from repro.stream.events import CheckInAccepted, CheckInFlagged
 from repro.stream.ledger import SuspicionLedger
 
 CONFIG = DetectorConfig(min_total_checkins=10)
-STREAM_CONFIG = StreamDetectorConfig(max_users=64, max_venues=64)
+
+
+@pytest.fixture(autouse=True)
+def small_bounds(monkeypatch):
+    """Factor-table LRU bounds of 64 users and 64 venues."""
+    monkeypatch.setattr(detectors, "MAX_USERS", 64)
+    monkeypatch.setattr(detectors, "MAX_VENUES", 64)
 
 
 def make_events(count=120, users=6, venues=7):
@@ -47,7 +53,7 @@ def make_events(count=120, users=6, venues=7):
 
 
 def fed_ledger(events):
-    ledger = SuspicionLedger(config=CONFIG, stream_config=STREAM_CONFIG)
+    ledger = SuspicionLedger(config=CONFIG)
     for event in events:
         ledger.on_event(event)
     return ledger
@@ -57,12 +63,9 @@ class TestStateDictRoundTrip:
     def test_full_state_equality_including_traces(self):
         events = make_events()
         original = fed_ledger(events)
-        restored = SuspicionLedger(
-            config=CONFIG, stream_config=STREAM_CONFIG
-        )
+        restored = SuspicionLedger(config=CONFIG)
         restored.load_state_dict(original.state_dict())
         assert restored.state_dict() == original.state_dict()
-        assert restored.last_seq == original.last_seq
         assert restored.events_processed == original.events_processed
         assert sorted(restored.suspect_ids()) == sorted(original.suspect_ids())
         # Traces survive the round trip (only digests scrub them).
@@ -74,35 +77,34 @@ class TestStateDictRoundTrip:
     def test_restored_ledger_scores_identically_forward(self):
         events = make_events()
         original = fed_ledger(events[:80])
-        restored = SuspicionLedger(
-            config=CONFIG, stream_config=STREAM_CONFIG
-        )
+        restored = SuspicionLedger(config=CONFIG)
         restored.load_state_dict(original.state_dict())
         for event in events[80:]:
             original.on_event(event)
             restored.on_event(event)
         assert restored.digest() == original.digest()
 
-    def test_lru_recency_survives_restore(self):
+    def test_lru_recency_survives_restore(self, monkeypatch):
         # Tiny bound: evictions depend on recency order, so a restore
         # that scrambled it would diverge on the very next insert.
-        tight = StreamDetectorConfig(max_users=4, max_venues=4)
+        monkeypatch.setattr(detectors, "MAX_USERS", 4)
+        monkeypatch.setattr(detectors, "MAX_VENUES", 4)
         events = make_events(count=60, users=12, venues=9)
-        original = SuspicionLedger(config=CONFIG, stream_config=tight)
+        original = SuspicionLedger(config=CONFIG)
         for event in events[:40]:
             original.on_event(event)
-        restored = SuspicionLedger(config=CONFIG, stream_config=tight)
+        restored = SuspicionLedger(config=CONFIG)
         restored.load_state_dict(original.state_dict())
         assert (
-            restored.activity.users.keys() == original.activity.users.keys()
+            restored.factors.users.keys() == original.factors.users.keys()
         )
         for event in events[40:]:
             original.on_event(event)
             restored.on_event(event)
         assert restored.digest() == original.digest()
         assert (
-            restored.activity.users.evictions
-            == original.activity.users.evictions
+            restored.factors.users.evictions
+            == original.factors.users.evictions
         )
 
     def test_digest_scrubs_traces(self):
@@ -138,7 +140,6 @@ class TestSnapshotStore:
         revived = snapshot.make_ledger()
         assert revived.digest() == ledger.digest()
         assert revived.config == CONFIG
-        assert revived.stream_config == STREAM_CONFIG
 
     def test_latest_picks_the_newest(self, tmp_path):
         ledger = fed_ledger(make_events())
@@ -183,16 +184,18 @@ class TestSnapshotValidation:
             store.load(39)
 
     def test_wrong_version_rejected(self, written):
+        # Both an older layout and a newer one are refused.
         store, path = written
         raw = path.read_bytes()
         newline = raw.find(b"\n")
         header = json.loads(raw[:newline])
-        header["version"] = SNAPSHOT_VERSION + 1
-        path.write_bytes(
-            json.dumps(header).encode() + b"\n" + raw[newline + 1:]
-        )
-        with pytest.raises(SnapshotError, match="version"):
-            store.load(39)
+        for version in (SNAPSHOT_VERSION - 1, SNAPSHOT_VERSION + 1):
+            header["version"] = version
+            path.write_bytes(
+                json.dumps(header).encode() + b"\n" + raw[newline + 1:]
+            )
+            with pytest.raises(SnapshotError, match=f"version {version}"):
+                store.load(39)
 
     def test_wrong_format_rejected(self, written):
         store, path = written

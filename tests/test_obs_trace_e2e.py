@@ -179,18 +179,6 @@ class TestTraceChain:
             "ledger.flag",
         }
 
-    def test_detector_folds_traces_from_events(self, tour):
-        ledger, cheater, events = (
-            tour["ledger"],
-            tour["cheater"],
-            tour["events"],
-        )
-        accepted = [e for e in events if isinstance(e, CheckInAccepted)]
-        assert (
-            ledger.activity.last_trace_id(cheater.user_id)
-            == accepted[-1].trace_id
-        )
-
     def test_refusals_run_under_their_own_traces(self, tour):
         hub, results = tour["hub"], tour["results"]
         refused = results[FLAG_AT:]

@@ -1,4 +1,9 @@
-"""Tests for the incremental detectors: correctness and memory bounds."""
+"""Tests for the incremental factor table: correctness and memory bounds.
+
+One :class:`FactorTable` keeps all three factors; the cases stay grouped
+by factor under the class names of the per-factor detectors the table
+replaced, so their node IDs are unchanged.
+"""
 
 import pytest
 
@@ -6,15 +11,13 @@ from repro.geo.coordinates import GeoPoint
 from repro.geo.distance import destination_point
 from repro.geo.regions import US_CITIES
 from repro.stream import (
-    ActivityRateDetector,
     CheckInAccepted,
     CheckInFlagged,
-    GeoDispersionDetector,
+    FactorTable,
     LruStateMap,
-    RewardRateDetector,
-    StreamDetectorConfig,
     UserRegistered,
 )
+from repro.stream import detectors
 
 HERE = GeoPoint(35.0844, -106.6504)  # Albuquerque
 
@@ -73,165 +76,136 @@ class TestLruStateMap:
 
 
 class TestActivityRateDetector:
+    """The activity factor: recent-list memberships over total check-ins."""
+
     def test_recent_membership_mirrors_venue_lists(self):
-        det = ActivityRateDetector()
+        table = FactorTable()
         # User 1 checks into three distinct venues: on three lists.
         for venue in (10, 11, 12):
-            det.on_event(accepted(1, venue, ts=100.0))
-        assert det.totals(1) == (3, 3)
+            table.on_event(accepted(1, venue, ts=100.0))
+        assert table.totals(1) == (3, 3)
 
     def test_rechecking_same_venue_does_not_double_count(self):
-        det = ActivityRateDetector()
-        det.on_event(accepted(1, 10, ts=1.0))
-        det.on_event(accepted(1, 10, ts=2.0))
-        assert det.totals(1) == (1, 2)
+        table = FactorTable()
+        table.on_event(accepted(1, 10, ts=1.0))
+        table.on_event(accepted(1, 10, ts=2.0))
+        assert table.totals(1) == (1, 2)
 
     def test_displacement_off_recent_list_decrements(self):
-        config = StreamDetectorConfig(recent_visitor_limit=3)
-        det = ActivityRateDetector(config)
-        det.on_event(accepted(1, 10, ts=0.0))
-        for other in range(2, 6):  # four later visitors push user 1 out
-            det.on_event(accepted(other, 10, ts=float(other)))
-        assert det.totals(1) == (0, 1)
+        table = FactorTable()
+        table.on_event(accepted(1, 10, ts=0.0))
+        for other in range(2, 12):  # ten later visitors push user 1 out
+            table.on_event(accepted(other, 10, ts=float(other)))
+        assert table.totals(1) == (0, 1)
 
     def test_flagged_counts_total_only(self):
-        det = ActivityRateDetector()
-        det.on_event(accepted(1, 10, ts=0.0))
-        det.on_event(flagged(1, 11, ts=1.0))
-        assert det.totals(1) == (1, 2)
+        table = FactorTable()
+        table.on_event(accepted(1, 10, ts=0.0))
+        table.on_event(flagged(1, 11, ts=1.0))
+        assert table.totals(1) == (1, 2)
 
     def test_non_checkin_events_ignored(self):
-        det = ActivityRateDetector()
-        det.on_event(UserRegistered(seq=-1, timestamp=0.0, user_id=1))
-        assert det.totals(1) == (0, 0)
-        assert det.events_seen == 0
-
-    def test_sliding_window_rate(self):
-        config = StreamDetectorConfig(activity_window_s=3_600.0)
-        det = ActivityRateDetector(config)
-        for i in range(6):
-            det.on_event(accepted(1, 100 + i, ts=i * 100.0))
-        # All six inside the hour window.
-        assert det.rate_per_hour(1, now=500.0) == pytest.approx(6.0)
-        # Much later, everything has aged out.
-        assert det.rate_per_hour(1, now=50_000.0) == pytest.approx(0.0)
+        table = FactorTable()
+        table.on_event(UserRegistered(seq=-1, timestamp=0.0, user_id=1))
+        assert table.totals(1) == (0, 0)
 
     def test_activity_score_matches_offline_formula(self):
-        det = ActivityRateDetector()
+        table = FactorTable()
         for venue in range(8):
-            det.on_event(accepted(1, venue, ts=float(venue)))
+            table.on_event(accepted(1, venue, ts=float(venue)))
         # 8 recent / 8 total = 1.0 ratio; saturates at ratio 0.8.
-        assert det.activity_score(1, saturating_ratio=0.8) == 1.0
-        assert det.activity_score(99, saturating_ratio=0.8) == 0.0
+        assert table.activity_score(1, saturating_ratio=0.8) == 1.0
+        assert table.activity_score(99, saturating_ratio=0.8) == 0.0
 
-    def test_user_lru_bound(self):
-        config = StreamDetectorConfig(max_users=16)
-        det = ActivityRateDetector(config)
+    def test_user_lru_bound(self, monkeypatch):
+        monkeypatch.setattr(detectors, "MAX_USERS", 16)
+        table = FactorTable()
         for user in range(64):
-            det.on_event(accepted(user, 1, ts=float(user)))
-        assert len(det.users) <= 16
-        assert det.users.evictions == 48
+            table.on_event(accepted(user, 1, ts=float(user)))
+        assert len(table.users) <= 16
+        assert table.users.evictions == 48
 
-    def test_venue_eviction_releases_memberships(self):
-        config = StreamDetectorConfig(max_venues=2)
-        det = ActivityRateDetector(config)
-        det.on_event(accepted(1, 10, ts=0.0))
-        det.on_event(accepted(1, 11, ts=1.0))
-        det.on_event(accepted(1, 12, ts=2.0))  # evicts venue 10's replica
-        recent, total = det.totals(1)
+    def test_venue_eviction_releases_memberships(self, monkeypatch):
+        monkeypatch.setattr(detectors, "MAX_VENUES", 2)
+        table = FactorTable()
+        table.on_event(accepted(1, 10, ts=0.0))
+        table.on_event(accepted(1, 11, ts=1.0))
+        table.on_event(accepted(1, 12, ts=2.0))  # evicts venue 10's copy
+        recent, total = table.totals(1)
         assert recent == 2
         assert total == 3
 
 
 class TestRewardRateDetector:
+    """The reward factor: badge shortfall against claimed activity."""
+
     def test_badges_accumulate_from_events(self):
-        det = RewardRateDetector()
-        det.on_event(accepted(1, 10, ts=0.0, badges=2, points=5))
-        det.on_event(accepted(1, 11, ts=1.0, badges=1, points=3))
-        assert det.totals(1) == (3, 2)
+        table = FactorTable()
+        table.on_event(accepted(1, 10, ts=0.0, badges=2, points=5))
+        table.on_event(accepted(1, 11, ts=1.0, badges=1, points=3))
+        assert table.users.get(1).badges == 3
+        assert table.totals(1) == (2, 2)
 
     def test_shortfall_formula_matches_offline(self):
-        det = RewardRateDetector()
+        table = FactorTable()
         # 200 valid check-ins, zero badges: maximal shortfall.
         for i in range(200):
-            det.on_event(accepted(1, i, ts=float(i)))
-        score = det.reward_score(
+            table.on_event(accepted(1, i, ts=float(i)))
+        score = table.reward_score(
             1, expected_badges_per_100=8.0, badge_ceiling=90.0
         )
         assert score == 1.0
 
     def test_well_rewarded_user_scores_zero(self):
-        det = RewardRateDetector()
+        table = FactorTable()
         for i in range(10):
-            det.on_event(accepted(1, i, ts=float(i), badges=1))
-        score = det.reward_score(
+            table.on_event(accepted(1, i, ts=float(i), badges=1))
+        score = table.reward_score(
             1, expected_badges_per_100=8.0, badge_ceiling=90.0
         )
         assert score == 0.0
 
     def test_unknown_user_scores_zero(self):
-        det = RewardRateDetector()
-        assert det.reward_score(7, 8.0, 90.0) == 0.0
+        table = FactorTable()
+        assert table.reward_score(7, 8.0, 90.0) == 0.0
 
 
 class TestGeoDispersionDetector:
+    """The pattern factor: greedy city clusters of valid check-ins."""
+
     def test_city_count_one_metro(self):
-        det = GeoDispersionDetector()
+        table = FactorTable()
         for i in range(10):
             point = destination_point(HERE, i * 36.0, 2_000.0 + i * 500.0)
-            det.on_event(accepted(1, i, ts=float(i), where=point))
-        assert det.city_count(1) == 1
+            table.on_event(accepted(1, i, ts=float(i), where=point))
+        assert table.city_count(1) == 1
 
     def test_city_count_many_metros(self):
-        det = GeoDispersionDetector()
+        table = FactorTable()
         for i, city in enumerate(US_CITIES[:12]):
-            det.on_event(accepted(1, i, ts=float(i), where=city.center))
-        assert det.city_count(1) == 12
-
-    def test_running_bbox_covers_all_points(self):
-        det = GeoDispersionDetector()
-        a, b = US_CITIES[0].center, US_CITIES[1].center
-        det.on_event(accepted(1, 1, ts=0.0, where=a))
-        det.on_event(accepted(1, 2, ts=3_600.0, where=b))
-        south, west, north, east = det.bbox(1)
-        for p in (a, b):
-            assert south <= p.latitude <= north
-            assert west <= p.longitude <= east
-
-    def test_last_position_speed(self):
-        det = GeoDispersionDetector()
-        start = HERE
-        end = destination_point(HERE, 90.0, 10_000.0)  # 10 km hop
-        det.on_event(accepted(1, 1, ts=0.0, where=start))
-        det.on_event(accepted(1, 2, ts=100.0, where=end))  # 100 m/s
-        assert det.max_speed(1) == pytest.approx(100.0, rel=0.01)
-
-    def test_zero_elapsed_hop_is_infinite_speed(self):
-        det = GeoDispersionDetector()
-        det.on_event(accepted(1, 1, ts=5.0, where=US_CITIES[0].center))
-        det.on_event(accepted(1, 2, ts=5.0, where=US_CITIES[1].center))
-        assert det.max_speed(1) == float("inf")
+            table.on_event(accepted(1, i, ts=float(i), where=city.center))
+        assert table.city_count(1) == 12
 
     def test_pattern_score_gated_on_min_points(self):
-        config = StreamDetectorConfig(min_pattern_points=5)
-        det = GeoDispersionDetector(config)
+        table = FactorTable()
+        assert detectors.MIN_PATTERN_POINTS == 5
         for i, city in enumerate(US_CITIES[:4]):
-            det.on_event(accepted(1, i, ts=float(i), where=city.center))
-        assert det.pattern_score(1, saturating_city_count=20) == 0.0
-        det.on_event(accepted(1, 99, ts=99.0, where=US_CITIES[4].center))
-        assert det.pattern_score(1, saturating_city_count=20) == 0.25
+            table.on_event(accepted(1, i, ts=float(i), where=city.center))
+        assert table.pattern_score(1, saturating_city_count=20) == 0.0
+        table.on_event(accepted(1, 99, ts=99.0, where=US_CITIES[4].center))
+        assert table.pattern_score(1, saturating_city_count=20) == 0.25
 
-    def test_leader_cap_bounds_memory(self):
-        config = StreamDetectorConfig(max_city_leaders=8)
-        det = GeoDispersionDetector(config)
+    def test_leader_cap_bounds_memory(self, monkeypatch):
+        monkeypatch.setattr(detectors, "MAX_CITY_LEADERS", 8)
+        table = FactorTable()
         for i, city in enumerate(US_CITIES[:15]):
-            det.on_event(accepted(1, i, ts=float(i), where=city.center))
-        assert det.city_count(1) == 8
+            table.on_event(accepted(1, i, ts=float(i), where=city.center))
+        assert table.city_count(1) == 8
 
-    def test_user_lru_bound(self):
-        config = StreamDetectorConfig(max_users=4)
-        det = GeoDispersionDetector(config)
+    def test_user_lru_bound(self, monkeypatch):
+        monkeypatch.setattr(detectors, "MAX_USERS", 4)
+        table = FactorTable()
         for user in range(20):
-            det.on_event(accepted(user, 1, ts=float(user)))
-        assert len(det.users) <= 4
-        assert det.users.evictions == 16
+            table.on_event(accepted(user, 1, ts=float(user)))
+        assert len(table.users) <= 4
+        assert table.users.evictions == 16

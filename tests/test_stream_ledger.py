@@ -16,7 +16,13 @@ from repro.geo.coordinates import GeoPoint
 from repro.geo.regions import US_CITIES
 from repro.lbsn.models import CheckInStatus
 from repro.lbsn.service import LbsnService
-from repro.stream import CheckInAccepted, EventBus, SuspicionLedger
+from repro.stream import (
+    CheckInAccepted,
+    CheckInFlagged,
+    EventBus,
+    SuspicionLedger,
+    detectors,
+)
 from repro.workload import build_web_stack, build_world
 
 HERE = GeoPoint(35.0844, -106.6504)
@@ -31,6 +37,18 @@ def accepted(user_id, venue_id, ts, where=HERE, badges=0):
         venue_location=where,
         reported_location=where,
         new_badge_count=badges,
+    )
+
+
+def flagged(user_id, venue_id, ts, where=HERE):
+    return CheckInFlagged(
+        seq=-1,
+        timestamp=ts,
+        user_id=user_id,
+        venue_id=venue_id,
+        venue_location=where,
+        reported_location=where,
+        rule="frequent",
     )
 
 
@@ -77,14 +95,33 @@ class TestLedgerScoring:
         assert [r.user_id for r in top] == [2, 1]
         assert top[0].city_count == 15
 
-    def test_events_processed_and_seq_watermark(self):
+    def test_events_processed_counts_checkins(self):
         ledger = SuspicionLedger()
         bus = EventBus()
         ledger.attach(bus)
         for i in range(5):
             bus.publish(accepted(1, i, ts=float(i)))
         assert ledger.events_processed == 5
-        assert ledger.last_seq == 4
+
+    def test_flagged_checkins_keep_the_whole_record_resident(
+        self, monkeypatch
+    ):
+        # One record per user, one recency order: a user kept warm only by
+        # flagged check-ins keeps their city count along with their total
+        # when the table is over its bound.
+        monkeypatch.setattr(detectors, "MAX_USERS", 4)
+        ledger = SuspicionLedger()
+        for i, city in enumerate(US_CITIES[:6]):
+            ledger.on_event(accepted(1, i, ts=float(i), where=city.center))
+        ts = 100.0
+        for other in range(2, 6):
+            ledger.on_event(flagged(1, 50 + other, ts=ts))
+            ledger.on_event(accepted(other, 50 + other, ts=ts + 1.0))
+            ts += 10.0
+        report = ledger.score_user(1)
+        assert report.total_checkins == 10
+        assert report.city_count == 6
+        assert report.pattern_score == 0.3
 
 
 class TestInlineDefense:

@@ -111,21 +111,6 @@ class TestPinSnapshotRoundTrip:
         assert restored.flag_trace_id(7) == "tr-7"
         assert restored.digest() == ledger.digest()
 
-    def test_pre_pinning_snapshots_still_load(self):
-        # Snapshots written before the adversary PR carry no "pinned"
-        # key; loading one must not raise and must restore everything
-        # else (SNAPSHOT_VERSION stays 1).
-        ledger = SuspicionLedger(DetectorConfig(min_total_checkins=20))
-        for i in range(25):
-            ledger.on_event(accepted(1, i, ts=float(i), badges=2))
-        assert ledger.is_suspect(1)
-        legacy = ledger.state_dict()
-        legacy.pop("pinned")
-        restored = SuspicionLedger(DetectorConfig(min_total_checkins=20))
-        restored.load_state_dict(legacy)
-        assert restored.is_suspect(1)
-        assert restored.pinned_rule(1) is None
-
     def test_pins_change_the_digest(self):
         plain = SuspicionLedger(DetectorConfig())
         pinned = SuspicionLedger(DetectorConfig())

@@ -21,10 +21,15 @@ Acceptance bars (all asserted):
 
 Measured (reported, not asserted): cold-replay throughput in events/s,
 recovery time as a function of WAL length, and the snapshot cadence
-sweep (checkpoints written vs. events replayed at recovery).
+sweep (checkpoints written vs. events replayed at recovery).  The
+recovery curve runs inside perfbench's :class:`HostSpeed` sampler, so
+each throughput row also reads at reference speed (the raw rate times
+the interval's host slowdown), which is the figure that diffs between
+revs on a host whose speed drifts.  Run it with ``python -m pytest``
+from the repository root, so that ``perfbench`` imports.
 
 Everything runs on the simulated clock; WAL fsyncs are real disk I/O
-(batched, `fsync_every=64`).
+(batched every ``FSYNC_EVERY`` appends).
 
 Environment knobs (CI smoke mode shrinks the first two):
 
@@ -39,7 +44,9 @@ Environment knobs (CI smoke mode shrinks the first two):
 import os
 import time
 
+from perfbench.hostspeed import HostSpeed
 from repro.analysis.detection import DetectorConfig
+from repro.durable.wal import FSYNC_EVERY
 from repro.durable.worker import DetectorWorker
 from repro.obs import LogHub, MetricsRegistry
 from repro.workload.durable import (
@@ -57,22 +64,20 @@ CURVE = [
 ]
 
 SEED = 42
-FAULT_SEED = 1337
 
 
 def _config(**overrides) -> DurableConfig:
-    base = dict(
-        scale=SCALE,
-        seed=SEED,
-        fault_seed=FAULT_SEED,
-        checkins=CHECKINS,
-    )
+    base = dict(scale=SCALE, seed=SEED, checkins=CHECKINS)
     base.update(overrides)
     return DurableConfig(**base)
 
 
 def _timed_recovery(tree, partitions):
-    """Recover every shard of a tree; returns (seconds, events, digests)."""
+    """Recover every shard of a tree.
+
+    Returns ``(started, ended, events, digests)``, the first two
+    ``perf_counter`` stamps around the recovery.
+    """
     config = DetectorConfig(min_total_checkins=SCENARIO_MIN_TOTAL_CHECKINS)
     started = time.perf_counter()
     replayed = 0
@@ -82,7 +87,7 @@ def _timed_recovery(tree, partitions):
         replayed += worker.recover()
         digests.append(worker.digest())
         worker.close()
-    return time.perf_counter() - started, replayed, digests
+    return started, time.perf_counter(), replayed, digests
 
 
 def test_e23_durable(report_out, benchmark, tmp_path):
@@ -97,7 +102,7 @@ def test_e23_durable(report_out, benchmark, tmp_path):
         run = (
             benchmark.pedantic(
                 lambda: run_durable_storm(
-                    _config(partitions=4, kill_partition=0),
+                    _config(partitions=4),
                     run_dir,
                     metrics=metrics,
                     log=log,
@@ -107,7 +112,7 @@ def test_e23_durable(report_out, benchmark, tmp_path):
             )
             if partitions == 4
             else run_durable_storm(
-                _config(partitions=1, kill_partition=0),
+                _config(partitions=1),
                 run_dir,
                 metrics=metrics,
                 log=log,
@@ -132,12 +137,17 @@ def test_e23_durable(report_out, benchmark, tmp_path):
     rows.append(
         f"victim WAL (N=4): {storms[4].wal_appended} records, "
         f"{storms[4].wal_bytes} bytes over {storms[4].wal_segments} "
-        f"segments, {storms[4].wal_fsyncs} fsyncs (fsync_every=64)"
+        f"segments, {storms[4].wal_fsyncs} fsyncs "
+        f"(FSYNC_EVERY={FSYNC_EVERY})"
     )
 
     # Recovery time vs. WAL length ------------------------------------
-    rows.append("recovery-time curve (snapshots off, 1 partition):")
-    curve_throughputs = []
+    rows.append(
+        "recovery-time curve (snapshots off, 1 partition; "
+        "ref = at reference host speed):"
+    )
+    raw_rates = []
+    ref_rates = []
     for mult in CURVE:
         tree = tmp_path / f"curve-{mult}"
         report = write_durable_tree(
@@ -147,16 +157,23 @@ def test_e23_durable(report_out, benchmark, tmp_path):
         # Strip the final checkpoint so recovery replays the whole WAL.
         for snap in (tree / "partition-00" / "snapshots").glob("*.json"):
             snap.unlink()
-        seconds, replayed, digests = _timed_recovery(tree, 1)
+        with HostSpeed() as speed:
+            started, ended, replayed, digests = _timed_recovery(tree, 1)
         assert digests == report.victim_digests  # full-WAL replay parity
-        rate = replayed / seconds if seconds > 0 else float("inf")
-        curve_throughputs.append(rate)
+        seconds = ended - started
+        slowdown = speed.slowdown(started, ended)
+        rate = replayed / seconds
+        raw_rates.append(rate)
+        ref_rates.append(rate * slowdown)
         rows.append(
             f"  wal={replayed:>6d} events ({report.wal_bytes:>8d} B) "
-            f"-> recovery {seconds * 1e3:7.1f} ms ({rate:>9.0f} events/s)"
+            f"-> recovery {seconds * 1e3:7.1f} ms ({rate:>6.0f} events/s; "
+            f"ref {rate * slowdown:>6.0f} events/s, "
+            f"slowdown {slowdown:.2f})"
         )
     rows.append(
-        f"cold-replay throughput: {max(curve_throughputs):.0f} events/s peak"
+        f"cold-replay throughput: {max(raw_rates):.0f} events/s peak "
+        f"({max(ref_rates):.0f} events/s at reference speed)"
     )
 
     # Snapshot cadence sweep ------------------------------------------
@@ -176,14 +193,14 @@ def test_e23_durable(report_out, benchmark, tmp_path):
         )
         if snaps:
             snaps[-1].unlink()
-        seconds, replayed, digests = _timed_recovery(tree, 1)
+        started, ended, replayed, digests = _timed_recovery(tree, 1)
         assert digests == report.victim_digests
         suffixes[cadence] = replayed
         kept = len(snaps) - 1 if snaps else 0
         rows.append(
             f"  every={cadence or 'off':>4}: {kept} cadence checkpoints, "
             f"recovery replayed {replayed:>6d} events "
-            f"in {seconds * 1e3:6.1f} ms"
+            f"in {(ended - started) * 1e3:6.1f} ms"
         )
     # Bar 3: tighter cadence never replays more, and beats cadence-off.
     assert suffixes[50] <= suffixes[100] <= suffixes[200] <= suffixes[0]
@@ -221,7 +238,10 @@ def test_e23_durable(report_out, benchmark, tmp_path):
             "events_published_n4": storms[4].events_published,
             "parity_ok_n1": storms[1].parity_ok,
             "parity_ok_n4": storms[4].parity_ok,
-            "cold_replay_peak_events_per_s": round(max(curve_throughputs)),
+            "cold_replay_peak_events_per_s": round(max(raw_rates)),
+            "cold_replay_peak_events_per_s_at_reference_speed": round(
+                max(ref_rates)
+            ),
             "replay_suffix_cadence_off": suffixes[0],
             "replay_suffix_cadence_50": suffixes[50],
         },

@@ -568,9 +568,14 @@ def run_metrics_workload(
     service = LbsnService(event_bus=bus, metrics=registry, log=hub)
     world = build_world(scale=scale, seed=seed, service=service)
     stack = build_web_stack(world, seed=seed + 1)
+    # One thread per pass, as chaos phase A crawls: each thread probes
+    # past the last ID until its own miss run ends, so with more threads
+    # the page counts would depend on thread timing.
     crawl_full_site(
         stack.transport,
         [stack.network.create_egress()],
+        user_threads_per_machine=1,
+        venue_threads_per_machine=1,
         metrics=registry,
     )
 
@@ -925,14 +930,14 @@ def cmd_wal_replay(args) -> int:
 
     from repro.durable.snapshot import SnapshotError
     from repro.durable.wal import WalCorruptionError
-    from repro.workload.durable import replay_durable_tree
+    from repro.workload.durable import DurableTreeError, replay_durable_tree
 
     if not Path(args.dir).is_dir():
         print(f"no durable tree at {args.dir}", file=sys.stderr)
         return 1
     try:
         result = replay_durable_tree(args.dir)
-    except (WalCorruptionError, SnapshotError) as exc:
+    except (DurableTreeError, WalCorruptionError, SnapshotError) as exc:
         print(f"REPLAY FAILED: {exc}", file=sys.stderr)
         return 1
     print(

@@ -11,8 +11,8 @@ Three layers, bottom up:
   WAL a recovery replays.
 * :mod:`repro.durable.worker` / :mod:`repro.durable.partition` — N
   consistent-hash-partitioned detector workers behind one durable bus
-  tap, each an independent unit of failure, plus the
-  :class:`RecoveryCoordinator` that replays dead workers back to the
+  tap, each an independent unit of failure, which
+  :meth:`PartitionedDetectorPipeline.recover_crashed` replays back to the
   exact state of an uncrashed run.
 
 The invariant everything above rests on: the store's commit-ordered
@@ -46,7 +46,6 @@ from repro.durable.worker import (
     DetectorWorker,
     DurableWorkerError,
     PartitionedDetectorPipeline,
-    RecoveryCoordinator,
     cold_replay_digests,
 )
 
@@ -58,7 +57,6 @@ __all__ = [
     "DurableWorkerError",
     "PartitionError",
     "PartitionedDetectorPipeline",
-    "RecoveryCoordinator",
     "Snapshot",
     "SnapshotError",
     "SnapshotStore",

@@ -8,11 +8,11 @@ rather than ``user_id % N`` so that growing N later moves only ~1/N of
 the keys — the property that makes repartitioning a migration instead of
 a full rebuild.
 
-Determinism contract: the ring is a pure function of ``(partitions,
-virtual_nodes)``.  Two processes building a router with the same
-arguments route every key identically — which is what lets a cold
-replay (``repro wal-replay``) regroup a WAL directory tree without any
-routing metadata beyond the partition count.
+Determinism contract: the ring is a pure function of the partition count
+(each partition owns :data:`VIRTUAL_NODES` ring points).  Two processes
+building a router with the same count route every key identically —
+which is what lets a cold replay (``repro wal-replay``) regroup a WAL
+directory tree without any routing metadata beyond the partition count.
 
 Events that carry no user key (venue creation, mayor changes) are
 *broadcast* to every partition: they are rare, partition-local detector
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import List, Optional
+from typing import Optional
 
 from repro.errors import ReproError
 from repro.stream.events import (
@@ -35,6 +35,10 @@ from repro.stream.events import (
     StreamEvent,
     UserRegistered,
 )
+
+
+#: Ring points per partition.
+VIRTUAL_NODES = 64
 
 
 class PartitionError(ReproError):
@@ -50,18 +54,13 @@ def _ring_point(token: str) -> int:
 class ConsistentHashRouter:
     """Maps user keys onto ``partitions`` workers via a hash ring."""
 
-    def __init__(self, partitions: int, virtual_nodes: int = 64) -> None:
+    def __init__(self, partitions: int) -> None:
         if partitions < 1:
             raise PartitionError(f"partitions must be >= 1: {partitions}")
-        if virtual_nodes < 1:
-            raise PartitionError(
-                f"virtual_nodes must be >= 1: {virtual_nodes}"
-            )
         self.partitions = partitions
-        self.virtual_nodes = virtual_nodes
         points = []
         for partition in range(partitions):
-            for replica in range(virtual_nodes):
+            for replica in range(VIRTUAL_NODES):
                 points.append(
                     (_ring_point(f"p{partition}:v{replica}"), partition)
                 )
@@ -84,13 +83,6 @@ class ConsistentHashRouter:
             return None
         return self.route_key(user_id)
 
-    def spread(self, keys) -> List[int]:
-        """How many of ``keys`` each partition owns (bench/test helper)."""
-        counts = [0] * self.partitions
-        for key in keys:
-            counts[self.route_key(key)] += 1
-        return counts
-
 
 def user_key(event: StreamEvent) -> Optional[int]:
     """The user id an event should be partitioned by, if it has one."""
@@ -106,6 +98,7 @@ def user_key(event: StreamEvent) -> Optional[int]:
 
 
 __all__ = [
+    "VIRTUAL_NODES",
     "ConsistentHashRouter",
     "PartitionError",
     "user_key",

@@ -7,7 +7,7 @@ with ``seq > snapshot.seq``.  The E23 bench measures exactly that trade
 
 File format — two JSON documents, header line then body::
 
-    {"format": "repro-snapshot", "version": 2,
+    {"format": "repro-snapshot", "version": 3,
      "checksum": "<sha256 of body bytes>", "length": <len(body)>}\\n
     <body bytes>
 
@@ -15,8 +15,8 @@ The body carries the snapshot version again (belt and braces: the header
 can be regenerated, the body is what the checksum guards), the ``seq``
 watermark, the owning partition, the ledger's
 :class:`~repro.analysis.detection.DetectorConfig` (so a restore scores
-with the thresholds the state was built under), and the full ledger state
-dict.  Writes are atomic — temp file + fsync + ``os.replace`` — so a
+with the check-in floor the state was built under), and the full ledger
+state dict.  Writes are atomic — temp file + fsync + ``os.replace`` — so a
 crash mid-snapshot leaves the previous snapshot intact and at worst a
 stray ``.tmp`` file.
 
@@ -40,8 +40,9 @@ from repro.errors import ReproError
 from repro.obs.metrics import MetricsRegistry
 from repro.stream.ledger import SuspicionLedger
 
-#: Bumped whenever the body layout changes incompatibly.
-SNAPSHOT_VERSION = 2
+#: Bumped whenever the body layout changes incompatibly (3: the detector
+#: config carries only ``min_total_checkins``).
+SNAPSHOT_VERSION = 3
 
 _FORMAT = "repro-snapshot"
 
@@ -60,16 +61,10 @@ class Snapshot:
     detector_config: dict
     ledger_state: dict
 
-    def make_ledger(
-        self,
-        metrics: Optional[MetricsRegistry] = None,
-        log=None,
-    ) -> SuspicionLedger:
+    def make_ledger(self, log=None) -> SuspicionLedger:
         """A fresh ledger carrying this snapshot's config and state."""
         ledger = SuspicionLedger(
-            config=DetectorConfig(**self.detector_config),
-            metrics=metrics,
-            log=log,
+            config=DetectorConfig(**self.detector_config), log=log
         )
         ledger.load_state_dict(self.ledger_state)
         return ledger

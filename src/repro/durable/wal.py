@@ -21,8 +21,8 @@ Record format (little-endian), one record per event::
 separators — byte-stable across runs); ``crc32`` is computed over the
 payload, so a flipped bit anywhere in the record is rejected.  Segments
 open with an 8-byte magic (:data:`SEGMENT_MAGIC`) and rotate at
-``segment_max_bytes``; a writer never appends to a pre-existing segment
-(its tail may be torn), it always opens a fresh one.
+:data:`SEGMENT_MAX_BYTES`; a writer never appends to a pre-existing
+segment (its tail may be torn), it always opens a fresh one.
 
 The reader is torn-tail tolerant by design: a crash mid-``write`` leaves
 a truncated header, a short payload, or a corrupt checksum at the very
@@ -66,8 +66,15 @@ SEGMENT_MAGIC = b"RWALSEG1"
 _RECORD_HEADER = struct.Struct("<II")
 
 #: Hard ceiling on a single record's payload, far above any real event;
-#: a length field past this is corruption, not a huge record.
+#: the writer refuses a bigger one, and the reader treats a length field
+#: past it as corruption, not a huge record.
 MAX_RECORD_BYTES = 1 << 20
+
+#: A writer rotates to a new segment once the current one would pass this.
+SEGMENT_MAX_BYTES = 1 << 20
+
+#: A writer fsyncs every this many appends, and on rotation and close.
+FSYNC_EVERY = 64
 
 
 class WalError(ReproError):
@@ -192,36 +199,22 @@ class WalWriter:
         Segment directory (created if missing).  An existing log is
         *continued*: the writer opens a fresh segment after the highest
         existing index rather than appending to a possibly-torn tail.
-    segment_max_bytes:
-        Rotate to a new segment once the current one reaches this size.
-    fsync_every:
-        Issue ``fsync`` every N appends (and on :meth:`close`).  ``1``
-        is full durability per event; ``0`` never fsyncs (OS flush
-        only) — the knob the E23 bench sweeps.
+
+    Segments rotate at :data:`SEGMENT_MAX_BYTES`, and the writer fsyncs
+    every :data:`FSYNC_EVERY` appends, on rotation and on :meth:`close`.
     """
 
     def __init__(
         self,
         directory: os.PathLike,
-        segment_max_bytes: int = 1_048_576,
-        fsync_every: int = 64,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        if segment_max_bytes < len(SEGMENT_MAGIC) + _RECORD_HEADER.size:
-            raise WalError(
-                f"segment_max_bytes too small: {segment_max_bytes}"
-            )
-        if fsync_every < 0:
-            raise WalError(f"fsync_every must be >= 0: {fsync_every}")
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.segment_max_bytes = segment_max_bytes
-        self.fsync_every = fsync_every
         self._metrics = _WalMetrics(metrics) if metrics is not None else None
         self.appended = 0
         self.bytes_written = 0
         self.fsyncs = 0
-        self.last_seq = -1
         self._since_sync = 0
         self._segment_bytes = 0
         self._file = None
@@ -249,15 +242,23 @@ class WalWriter:
     def append(self, event: StreamEvent) -> int:
         """Frame, checksum, and append one event; returns bytes written.
 
-        The append is buffered; durability is governed by the
-        ``fsync_every`` batching knob and :meth:`sync`.
+        The append is buffered; durability comes from the batched fsync
+        every :data:`FSYNC_EVERY` appends and from :meth:`sync`.  A
+        payload over :data:`MAX_RECORD_BYTES` raises :class:`WalError`
+        and writes nothing: the reader could never read it back.
         """
         if self._closed:
             raise WalError("append on a closed WalWriter")
         record = encode_record(event)
+        payload_bytes = len(record) - _RECORD_HEADER.size
+        if payload_bytes > MAX_RECORD_BYTES:
+            raise WalError(
+                f"{type(event).__name__} payload of {payload_bytes} bytes "
+                f"exceeds MAX_RECORD_BYTES ({MAX_RECORD_BYTES})"
+            )
         if (
             self._file is None
-            or self._segment_bytes + len(record) > self.segment_max_bytes
+            or self._segment_bytes + len(record) > SEGMENT_MAX_BYTES
         ):
             self._rotate()
         self._file.write(record)
@@ -265,29 +266,22 @@ class WalWriter:
         self._segment_bytes += len(record)
         self.bytes_written += len(record)
         self.appended += 1
-        if event.seq > self.last_seq:
-            self.last_seq = event.seq
         if self._metrics is not None:
             self._metrics.appends.inc()
             self._metrics.bytes_written.inc(len(record))
         self._since_sync += 1
-        if self.fsync_every and self._since_sync >= self.fsync_every:
+        if self._since_sync >= FSYNC_EVERY:
             self.sync()
         return len(record)
 
     def _rotate(self) -> None:
         if self._file is not None:
-            if self.fsync_every:
-                self.sync()
+            self.sync()
             self._file.close()
         self._open_segment()
 
     def sync(self) -> None:
-        """Force the current segment to stable storage now.
-
-        Explicit calls always fsync; the ``fsync_every=0`` knob only
-        disables the *implicit* syncs (batching, rotation, close).
-        """
+        """Force the current segment to stable storage now."""
         if self._file is not None and self._since_sync > 0:
             started = time.perf_counter()
             self._file.flush()
@@ -301,11 +295,10 @@ class WalWriter:
                 )
 
     def close(self) -> None:
-        """Sync (per the knob) and close; further appends raise."""
+        """Sync and close; further appends raise."""
         if self._closed:
             return
-        if self.fsync_every:
-            self.sync()
+        self.sync()
         if self._file is not None:
             self._file.close()
             self._file = None
@@ -344,9 +337,7 @@ class WalReader:
     After a :meth:`scan` is exhausted, :attr:`torn_tail` reports whether
     the log ended in a torn/truncated record (and :attr:`tail_error`
     says what exactly was wrong with it).  Interior damage — a bad
-    record with more log after it — raises :class:`WalCorruptionError`
-    regardless of mode; ``strict=True`` additionally promotes tail
-    damage to an error (used by integrity checks, never by recovery).
+    record with more log after it — raises :class:`WalCorruptionError`.
     """
 
     def __init__(
@@ -356,19 +347,15 @@ class WalReader:
     ) -> None:
         self.directory = Path(directory)
         self._metrics = _WalMetrics(metrics) if metrics is not None else None
-        self.records_read = 0
         self.torn_tail = False
         self.tail_error: Optional[str] = None
 
-    def scan(
-        self, after_seq: int = -1, strict: bool = False
-    ) -> Iterator[StreamEvent]:
+    def scan(self, after_seq: int = -1) -> Iterator[StreamEvent]:
         """Yield events in log order, skipping ``seq <= after_seq``.
 
         ``after_seq`` is the snapshot handoff: recovery passes
         ``snapshot.seq`` and receives exactly the suffix it must replay.
         """
-        self.records_read = 0
         self.torn_tail = False
         self.tail_error = None
         indices = _segment_indices(self.directory)
@@ -377,17 +364,15 @@ class WalReader:
             path = self.directory / _segment_name(index)
             for event, problem in self._scan_segment(path):
                 if problem is not None:
-                    if not final_segment or strict:
+                    if not final_segment:
                         raise WalCorruptionError(
-                            f"{path.name}: {problem}"
-                            + ("" if final_segment else " (mid-log)")
+                            f"{path.name}: {problem} (mid-log)"
                         )
                     self.torn_tail = True
                     self.tail_error = f"{path.name}: {problem}"
                     if self._metrics is not None:
                         self._metrics.torn_tails.inc()
                     return
-                self.records_read += 1
                 if self._metrics is not None:
                     self._metrics.replayed.inc()
                 if event.seq > after_seq:
@@ -430,11 +415,9 @@ class WalReader:
                     return
                 yield decode_event(payload), None
 
-    def read_all(
-        self, after_seq: int = -1, strict: bool = False
-    ) -> List[StreamEvent]:
+    def read_all(self, after_seq: int = -1) -> List[StreamEvent]:
         """Materialised :meth:`scan` for tests and small logs."""
-        return list(self.scan(after_seq=after_seq, strict=strict))
+        return list(self.scan(after_seq=after_seq))
 
     def segment_count(self) -> int:
         """How many segment files the directory currently holds."""
@@ -442,8 +425,10 @@ class WalReader:
 
 
 __all__ = [
+    "FSYNC_EVERY",
     "MAX_RECORD_BYTES",
     "SEGMENT_MAGIC",
+    "SEGMENT_MAX_BYTES",
     "WalCorruptionError",
     "WalError",
     "WalReader",

@@ -20,13 +20,12 @@ recovered shard's digest equals an uncrashed run's, byte for byte.
 
 The :class:`PartitionedDetectorPipeline` is the bus-facing assembly — a
 consistent-hash router in front of N workers behind one durable bus tap —
-and the :class:`RecoveryCoordinator` is the supervisor that notices dead
-workers and brings them back.
+and its :meth:`~PartitionedDetectorPipeline.recover_crashed` brings dead
+workers back.
 """
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 from pathlib import Path
@@ -41,8 +40,6 @@ from repro.faults.injector import FaultInjector
 from repro.faults.points import POINT_DURABLE_WORKER
 from repro.obs.log import LogHub
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profiler import ProfiledSection, SamplingProfiler
-from repro.obs.tracing import Tracer
 from repro.stream.bus import EventBus
 from repro.stream.events import StreamEvent
 from repro.stream.ledger import SuspicionLedger
@@ -108,7 +105,6 @@ class DetectorWorker:
         metrics: Optional[MetricsRegistry] = None,
         log: Optional[LogHub] = None,
         faults: Optional[FaultInjector] = None,
-        tracer: Optional[Tracer] = None,
     ) -> None:
         if snapshot_every < 0:
             raise DurableWorkerError(
@@ -130,12 +126,10 @@ class DetectorWorker:
             log.logger("durable.worker") if log is not None else None
         )
         self.faults = faults
-        self.tracer = tracer
         self.ledger: Optional[SuspicionLedger] = self._fresh_ledger()
         self.crashed = False
         self.last_applied_seq = -1
         self.events_applied = 0
-        self.recoveries = 0
         self.replayed_events = 0
         self.replay_lag = 0
         self._since_snapshot = 0
@@ -233,32 +227,25 @@ class DetectorWorker:
         docs/DURABILITY.md specifies.  Safe to call on a live worker too
         (it proves the cold-start path equals the warm state).
         """
-        span = (
-            self.tracer.span("durable.replay")
-            if self.tracer is not None
-            else contextlib.nullcontext()
-        )
-        with span:
-            snapshot = self.snapshots.latest()
-            if snapshot is not None:
-                ledger = snapshot.make_ledger(log=self._log)
-                after_seq = snapshot.seq
-            else:
-                ledger = self._fresh_ledger()
-                after_seq = -1
-            self.wal.sync()
-            reader = WalReader(self.wal_dir, metrics=self._registry)
-            replayed = 0
-            for event in reader.scan(after_seq=after_seq):
-                ledger.on_event(event)
-                if event.seq > after_seq:
-                    after_seq = event.seq
-                replayed += 1
+        snapshot = self.snapshots.latest()
+        if snapshot is not None:
+            ledger = snapshot.make_ledger(log=self._log)
+            after_seq = snapshot.seq
+        else:
+            ledger = self._fresh_ledger()
+            after_seq = -1
+        self.wal.sync()
+        reader = WalReader(self.wal_dir, metrics=self._registry)
+        replayed = 0
+        for event in reader.scan(after_seq=after_seq):
+            ledger.on_event(event)
+            if event.seq > after_seq:
+                after_seq = event.seq
+            replayed += 1
         self.ledger = ledger
         self.crashed = False
         self.last_applied_seq = max(after_seq, snapshot.seq if snapshot else -1)
         self.events_applied += replayed
-        self.recoveries += 1
         self.replayed_events += replayed
         self.replay_lag = 0
         self._since_snapshot = 0
@@ -308,7 +295,6 @@ class PartitionedDetectorPipeline:
         metrics: Optional[MetricsRegistry] = None,
         log: Optional[LogHub] = None,
         faults: Optional[FaultInjector] = None,
-        tracer: Optional[Tracer] = None,
     ) -> None:
         self.router = ConsistentHashRouter(partitions)
         self.base_dir = Path(base_dir)
@@ -321,7 +307,6 @@ class PartitionedDetectorPipeline:
                 metrics=metrics,
                 log=log,
                 faults=faults,
-                tracer=tracer,
             )
             for partition in range(partitions)
         ]
@@ -355,6 +340,13 @@ class PartitionedDetectorPipeline:
     def crashed_partitions(self) -> List[int]:
         """Indices of workers currently dead."""
         return [w.partition for w in self.workers if w.crashed]
+
+    def recover_crashed(self) -> List[int]:
+        """Recover every crashed worker; returns the partitions revived."""
+        revived = self.crashed_partitions()
+        for partition in revived:
+            self.workers[partition].recover()
+        return revived
 
     def snapshot_all(self) -> int:
         """Checkpoint every live shard; returns snapshots written."""
@@ -398,59 +390,11 @@ class PartitionedDetectorPipeline:
         self.close()
 
 
-class RecoveryCoordinator:
-    """Supervises a pipeline: finds dead workers, replays them back.
-
-    Deliberately dumb — detection is a property read, recovery is the
-    worker's own snapshot+replay — so the correctness story stays in one
-    place and the coordinator is pure orchestration + telemetry.
-    """
-
-    def __init__(
-        self,
-        pipeline: PartitionedDetectorPipeline,
-        log: Optional[LogHub] = None,
-        profiler: Optional[SamplingProfiler] = None,
-    ) -> None:
-        self.pipeline = pipeline
-        self._logger = (
-            log.logger("durable.coordinator") if log is not None else None
-        )
-        self._profiler = profiler
-        self.recoveries = 0
-
-    def recover_crashed(self) -> List[int]:
-        """Recover every crashed worker; returns the partitions revived.
-
-        With a profiler attached, the replay work is attributed to a
-        ``durable.recover`` section so recovery storms show up as their
-        own band in the collapsed-stack export.
-        """
-        revived = []
-        for partition in self.pipeline.crashed_partitions():
-            worker = self.pipeline.workers[partition]
-            if self._profiler is not None:
-                with ProfiledSection(self._profiler, "durable.recover"):
-                    replayed = worker.recover()
-            else:
-                replayed = worker.recover()
-            revived.append(partition)
-            self.recoveries += 1
-            if self._logger is not None:
-                self._logger.info(
-                    "durable.coordinator_recovery",
-                    partition=worker.label,
-                    replayed=replayed,
-                )
-        return revived
-
-
 def cold_replay_digests(
     base_dir,
     partitions: int,
     config: Optional[DetectorConfig] = None,
     metrics: Optional[MetricsRegistry] = None,
-    tracer: Optional[Tracer] = None,
 ) -> List[str]:
     """Rebuild every shard of a WAL tree from disk alone; per-shard digests.
 
@@ -463,11 +407,7 @@ def cold_replay_digests(
     digests = []
     for partition in range(partitions):
         worker = DetectorWorker(
-            partition,
-            base_dir,
-            config=config,
-            metrics=metrics,
-            tracer=tracer,
+            partition, base_dir, config=config, metrics=metrics
         )
         worker.recover()
         digest = worker.digest()
@@ -480,6 +420,5 @@ __all__ = [
     "DetectorWorker",
     "DurableWorkerError",
     "PartitionedDetectorPipeline",
-    "RecoveryCoordinator",
     "cold_replay_digests",
 ]

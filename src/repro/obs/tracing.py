@@ -9,15 +9,16 @@ keeps an in-memory ring of the most recent *slow* spans (duration over a
 configurable threshold) for post-hoc "what was the service doing when it
 stalled" inspection without any log pipeline.
 
-Usage::
+Usage — the caller times the region itself and records it, in a
+``finally`` so a region that raised is recorded too::
 
     registry = MetricsRegistry()
     trace = Tracer(registry)
-    with trace.span("checkin.commit"):
+    started = time.perf_counter()
+    try:
         ...  # the timed region
-
-The context manager is exception-transparent: the duration is recorded
-whether the region raised or not, and the exception propagates.
+    finally:
+        trace.record("checkin.commit", time.perf_counter() - started)
 
 Span naming convention (documented in ``docs/OBSERVABILITY.md``):
 ``<layer>.<operation>``, lowercase, dot-separated, no per-entity values in
@@ -76,36 +77,6 @@ class SpanRecord:
         return f"{self.name}: {self.duration_s * 1000.0:.1f} ms"
 
 
-class _SpanContext:
-    """One active span: a hand-rolled context manager.
-
-    A class-based ``__enter__``/``__exit__`` pair costs roughly a third of
-    a ``@contextmanager`` generator per use — and spans wrap the service's
-    hottest path (every check-in commit), where the E20 bench holds total
-    observability overhead under 5%.
-    """
-
-    __slots__ = ("_tracer", "_child", "_name", "_start")
-
-    def __init__(self, tracer: "Tracer", child, name: str) -> None:
-        self._tracer = tracer
-        self._child = child
-        self._name = name
-        self._start = 0.0
-
-    def __enter__(self) -> "_SpanContext":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        duration = time.perf_counter() - self._start
-        self._child.observe(duration)
-        tracer = self._tracer
-        if duration >= tracer.slow_threshold_s:
-            tracer._note_slow(self._name, duration)
-        return False  # exception-transparent
-
-
 class Tracer:
     """Records span durations into a registry and retains slow outliers."""
 
@@ -129,25 +100,16 @@ class Tracer:
         self._ring: Deque[SpanRecord] = deque(maxlen=ring_size)
         self._lock = threading.Lock()
 
-    def span(self, name: str) -> _SpanContext:
-        """Time one region of code under ``name`` (a context manager)."""
-        child = self._children.get(name)
-        if child is None:
-            child = self._histogram.labels(name)
-            self._children[name] = child
-        return _SpanContext(self, child, name)
-
     def record(
         self, name: str, duration: float, trace_id: Optional[str] = None
     ) -> None:
         """Record one already-measured span duration.
 
-        The zero-allocation primitive behind :meth:`span`: hot paths that
-        time themselves with two ``perf_counter()`` calls in a
-        ``try/finally`` (the check-in commit) use this directly, skipping
-        the per-call context-manager object.  ``trace_id`` (optional, and
-        only *read* on the slow path) correlates a retained slow span
-        with the request's structured-log story.
+        Hot paths time themselves with two ``perf_counter()`` calls in a
+        ``try/finally`` (the check-in commit) and hand the duration here.
+        ``trace_id`` (optional, and only *read* on the slow path)
+        correlates a retained slow span with the request's structured-log
+        story.
         """
         child = self._children.get(name)
         if child is None:
@@ -169,11 +131,6 @@ class Tracer:
         )
         with self._lock:
             self._ring.append(record)
-
-    def time(self, name: str, fn, *args, **kwargs):
-        """Run ``fn(*args, **kwargs)`` inside a span; returns its result."""
-        with self.span(name):
-            return fn(*args, **kwargs)
 
     # Read side ----------------------------------------------------------
 
@@ -203,10 +160,3 @@ class Tracer:
         if limit is None:
             return records
         return records[max(0, len(records) - limit):]
-
-    def slowest(self) -> Optional[SpanRecord]:
-        """The slowest span currently retained in the ring."""
-        records = self.recent_slow()
-        if not records:
-            return None
-        return max(records, key=lambda record: record.duration_s)

@@ -4,10 +4,12 @@ The offline :class:`~repro.analysis.detection.CheaterDetector` scores users
 from a *crawl snapshot*: (1) above-normal activity as the recent/total
 check-in ratio, (2) below-normal rewards as badge shortfall, (3) suspicious
 geographic pattern as the city count of the check-in map.  The
-:class:`FactorTable` in this module keeps the same three signals
-*incrementally* from the live event stream, in one record per user, so a
-verdict is available the moment a check-in commits — no re-crawl, no
-history rescan.
+:class:`FactorTable` in this module keeps the counts behind the same three
+signals *incrementally* from the live event stream, in one record per
+user, so a verdict is available the moment a check-in commits — no
+re-crawl, no history rescan.  The scores themselves are the shared
+formulas of :mod:`repro.analysis.detection`, applied by the
+:class:`~repro.stream.ledger.SuspicionLedger`.
 
 Memory is bounded under millions of users: the per-user records live in an
 :class:`LruStateMap` capped at :data:`MAX_USERS` entries with
@@ -163,7 +165,7 @@ class _UserFactors:
 
 
 class FactorTable:
-    """The three Chapter-4 factors for every resident user.
+    """The counts behind the three Chapter-4 factors, per resident user.
 
     A check-in touches its user's record once.  An accepted one bumps the
     totals and badges, moves the user to the head of the venue's
@@ -231,36 +233,6 @@ class FactorTable:
         """Distinct city clusters seen for this user."""
         state = self.users.get(user_id)
         return 0 if state is None else len(state.leaders)
-
-    def activity_score(self, user_id: int, saturating_ratio: float) -> float:
-        """The offline activity factor, from streaming state."""
-        recent, total = self.totals(user_id)
-        if total <= 0:
-            return 0.0
-        return min(1.0, (recent / total) / saturating_ratio)
-
-    def reward_score(
-        self,
-        user_id: int,
-        expected_badges_per_100: float,
-        badge_ceiling: float,
-    ) -> float:
-        """The offline reward factor, from streaming state."""
-        state = self.users.get(user_id)
-        if state is None or state.total <= 0:
-            return 0.0
-        expected = max(
-            1.0,
-            min(badge_ceiling, state.total * expected_badges_per_100 / 100.0),
-        )
-        return max(0.0, 1.0 - state.badges / expected)
-
-    def pattern_score(self, user_id: int, saturating_city_count: int) -> float:
-        """The offline pattern factor, from streaming state."""
-        state = self.users.get(user_id)
-        if state is None or state.valid < MIN_PATTERN_POINTS:
-            return 0.0
-        return min(1.0, len(state.leaders) / saturating_city_count)
 
     # Snapshot hooks ----------------------------------------------------
 

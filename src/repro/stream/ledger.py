@@ -24,11 +24,18 @@ import json
 import threading
 from typing import Dict, List, Optional
 
-from repro.analysis.detection import DetectorConfig, SuspicionReport
+from repro.analysis.detection import (
+    DetectorConfig,
+    SuspicionReport,
+    activity_score,
+    over_report_bar,
+    pattern_score,
+    reward_score,
+)
 from repro.obs.log import LogHub
 from repro.obs.metrics import MetricsRegistry
 from repro.stream.bus import EventBus
-from repro.stream.detectors import FactorTable
+from repro.stream.detectors import MIN_PATTERN_POINTS, FactorTable
 from repro.stream.events import CheckInAccepted, CheckInFlagged, StreamEvent
 
 
@@ -38,9 +45,11 @@ class SuspicionLedger:
     Parameters
     ----------
     config:
-        The *offline* detector thresholds — passing the same instance to
-        both this ledger and a :class:`CheaterDetector` guarantees the
-        online/offline parity the E19 bench measures.
+        The detector's check-in floor (``min_total_checkins``).  The
+        factor thresholds and the reporting bar are the module constants
+        of :mod:`repro.analysis.detection`, shared with
+        :class:`CheaterDetector`, so passing both the same config gives
+        the online/offline parity the E19 bench measures.
     metrics:
         Optional :class:`~repro.obs.MetricsRegistry`.  The ledger exports
         how many check-ins it has scored
@@ -124,25 +133,19 @@ class SuspicionLedger:
     def score_user(self, user_id: int) -> SuspicionReport:
         """Build the current three-factor report for one user.
 
-        Mirrors :meth:`CheaterDetector.score_user` formula-for-formula,
-        reading streaming state instead of crawl rows.
+        The formulas of :meth:`CheaterDetector.score_user`, fed from
+        streaming state instead of crawl rows.
         """
-        config = self.config
-        factors = self.factors
-        recent, total = factors.totals(user_id)
+        state = self.factors.users.get(user_id)
+        total = 0 if state is None else state.total
         report = SuspicionReport(user_id=user_id, total_checkins=total)
         if total <= 0:
             return report
-        report.activity_score = factors.activity_score(
-            user_id, config.saturating_ratio
-        )
-        report.reward_score = factors.reward_score(
-            user_id, config.expected_badges_per_100, config.badge_ceiling
-        )
-        report.city_count = factors.city_count(user_id)
-        report.pattern_score = factors.pattern_score(
-            user_id, config.saturating_city_count
-        )
+        report.activity_score = activity_score(state.recent, state.total)
+        report.reward_score = reward_score(state.total, state.badges)
+        report.city_count = len(state.leaders)
+        if state.valid >= MIN_PATTERN_POINTS:
+            report.pattern_score = pattern_score(report.city_count)
         return report
 
     def _reportable(self, report: SuspicionReport) -> bool:
@@ -150,9 +153,7 @@ class SuspicionLedger:
             return True
         if report.total_checkins < self.config.min_total_checkins:
             return False
-        if report.combined_score >= self.config.report_threshold:
-            return True
-        return report.strongest_factor >= self.config.strong_factor_threshold
+        return over_report_bar(report)
 
     def _rescore(
         self, user_id: int, trace_id: Optional[str] = None

@@ -6,16 +6,17 @@ The three entry points layer on one storm driver:
   the recovery tests, and the CI smoke job.  One world, one bus, *two*
   partitioned pipelines side by side: a fault-free **control** and a
   **victim** whose injector kills one worker mid-storm
-  (:data:`~repro.faults.points.POINT_DURABLE_WORKER`, seeded, one fire).
+  (:data:`~repro.faults.points.POINT_DURABLE_WORKER`, seeded by
+  :data:`KILL_SEED`, one fire on :data:`KILL_PARTITION`).
   After the storm the victim is recovered (snapshot + WAL replay) and
   the report carries three digests per run — control, recovered victim,
   and a cold replay of the victim's on-disk tree — which must be equal.
 * :func:`write_durable_tree` — ``repro snapshot``'s engine: a clean
   (fault-free) run that persists the WAL tree, final snapshots, and a
   ``manifest.json`` recording the expected combined digest.
-* :func:`replay_durable_tree` — ``repro wal-replay``'s engine: rebuild
-  every shard of an existing tree from disk alone and (optionally)
-  verify the digests against the manifest.
+* :func:`replay_durable_tree` — ``repro wal-replay``'s engine: check the
+  tree's manifest and layout, rebuild every shard from disk alone and
+  (optionally) verify the digests against the manifest.
 
 Why the control is a *pipeline* and not a plain ledger: partitioning by
 user key shards the activity detector's venue recent-visitor replica, so
@@ -36,19 +37,19 @@ from typing import Dict, List, Optional
 from repro.analysis.detection import DetectorConfig
 from repro.durable.worker import (
     PartitionedDetectorPipeline,
-    RecoveryCoordinator,
     cold_replay_digests,
 )
+from repro.errors import ReproError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.faults.points import POINT_DURABLE_WORKER
 from repro.obs.context import TraceContext, use_trace
 from repro.obs.log import LogHub
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracing import Tracer
 from repro.stream.bus import EventBus
 from repro.workload.scenario import (
     SCENARIO_MIN_TOTAL_CHECKINS,
+    World,
     build_world,
     storm_schedule,
 )
@@ -58,6 +59,14 @@ MANIFEST_NAME = "manifest.json"
 #: Per-applied-event kill probability of :func:`kill_plan`; with one
 #: allowed fire the seed picks *which* event mid-storm becomes the crash.
 KILL_PROBABILITY = 0.02
+#: Seed of the victim's kill plan.
+KILL_SEED = 1337
+#: The victim partition the kill plan targets.
+KILL_PARTITION = 0
+
+
+class DurableTreeError(ReproError):
+    """A tree's manifest or partition layout is not what a writer leaves."""
 
 
 @dataclass
@@ -74,10 +83,6 @@ class DurableConfig:
 
     #: Checkpoint cadence (0 = only on demand).
     snapshot_every: int = 0
-
-    # Victim kill plan (storm runs only).
-    fault_seed: int = 1337
-    kill_partition: int = 0
 
 
 @dataclass
@@ -123,19 +128,19 @@ class DurableReport:
         )
 
 
-def kill_plan(seed: int, partition: int) -> FaultPlan:
-    """A seeded plan that kills one named worker exactly once.
+def kill_plan() -> FaultPlan:
+    """A seeded plan that kills worker :data:`KILL_PARTITION` exactly once.
 
-    ``max_fires=1`` + per-spec seeded RNG means the *seed* decides which
-    applied event becomes the crash — deterministically mid-stream, not
-    at a hand-picked index.
+    ``max_fires=1`` + per-spec seeded RNG means :data:`KILL_SEED` decides
+    which applied event becomes the crash — deterministically mid-stream,
+    not at a hand-picked index.
     """
-    return FaultPlan(seed=seed).add(
+    return FaultPlan(seed=KILL_SEED).add(
         FaultSpec(
             point=POINT_DURABLE_WORKER,
             probability=KILL_PROBABILITY,
             max_fires=1,
-            only_labels=(f"partition-{partition:02d}",),
+            only_labels=(f"partition-{KILL_PARTITION:02d}",),
         )
     )
 
@@ -146,7 +151,6 @@ def _build_pipeline(
     metrics: Optional[MetricsRegistry] = None,
     log: Optional[LogHub] = None,
     faults: Optional[FaultInjector] = None,
-    tracer: Optional[Tracer] = None,
 ) -> PartitionedDetectorPipeline:
     return PartitionedDetectorPipeline(
         config.partitions,
@@ -156,8 +160,34 @@ def _build_pipeline(
         metrics=metrics,
         log=log,
         faults=faults,
-        tracer=tracer,
     )
+
+
+def _drive_storm(service, world: World, report: DurableReport) -> None:
+    """The deterministic check-in storm (chaos phase B, without retries)."""
+    for user_id, venue, timestamp in storm_schedule(
+        world, report.config.checkins
+    ):
+        report.checkins_attempted += 1
+        trace = TraceContext.mint()
+        with use_trace(trace):
+            service.check_in(
+                user_id, venue.venue_id, venue.location,
+                timestamp=timestamp, trace=trace,
+            )
+        report.checkins_returned += 1
+
+
+def _tally_disk(
+    report: DurableReport, pipeline: PartitionedDetectorPipeline
+) -> None:
+    """Sum the pipeline's WAL and snapshot counters into ``report``."""
+    workers = pipeline.workers
+    report.wal_appended = sum(w.wal.appended for w in workers)
+    report.wal_bytes = sum(w.wal.bytes_written for w in workers)
+    report.wal_segments = sum(w.wal.segments_opened for w in workers)
+    report.wal_fsyncs = sum(w.wal.fsyncs for w in workers)
+    report.snapshots_written = sum(w.snapshots.writes for w in workers)
 
 
 def run_durable_storm(
@@ -165,7 +195,6 @@ def run_durable_storm(
     base_dir,
     metrics: Optional[MetricsRegistry] = None,
     log: Optional[LogHub] = None,
-    tracer: Optional[Tracer] = None,
 ) -> DurableReport:
     """Storm, crash, recover, cold-replay; returns the three-way report."""
     report = DurableReport(config=config)
@@ -176,40 +205,22 @@ def run_durable_storm(
 
     service = LbsnService(metrics=metrics, log=log)
     injector = FaultInjector(
-        kill_plan(config.fault_seed, config.kill_partition),
-        clock=service.clock,
-        metrics=metrics,
-        log=log,
+        kill_plan(), clock=service.clock, metrics=metrics, log=log
     )
     injector.disarm()  # world generation runs clean
 
     bus = EventBus(metrics=metrics, log=log)
     service.event_bus = bus
     control = _build_pipeline(
-        config, base / "control", metrics=metrics, log=log, tracer=tracer
+        config, base / "control", metrics=metrics, log=log
     ).attach(bus, name="durable-control")
     victim = _build_pipeline(
-        config,
-        base / "victim",
-        metrics=metrics,
-        log=log,
-        faults=injector,
-        tracer=tracer,
+        config, base / "victim", metrics=metrics, log=log, faults=injector
     ).attach(bus, name="durable-victim")
 
     world = build_world(scale=config.scale, seed=config.seed, service=service)
     injector.arm()
-
-    # The deterministic check-in storm (chaos phase B, without retries).
-    for user_id, venue, timestamp in storm_schedule(world, config.checkins):
-        report.checkins_attempted += 1
-        trace = TraceContext.mint()
-        with use_trace(trace):
-            service.check_in(
-                user_id, venue.venue_id, venue.location,
-                timestamp=timestamp, trace=trace,
-            )
-        report.checkins_returned += 1
+    _drive_storm(service, world, report)
 
     report.events_published = bus.published
     report.watermark = service.event_watermark()
@@ -220,8 +231,7 @@ def run_durable_storm(
     # Recover the dead worker(s), then disarm so the replayed events are
     # not re-killed (a real restart would run with the fault gone).
     injector.disarm()
-    coordinator = RecoveryCoordinator(victim, log=log)
-    report.recovered_partitions = coordinator.recover_crashed()
+    report.recovered_partitions = victim.recover_crashed()
     report.replayed_events = sum(
         victim.workers[p].replayed_events for p in report.recovered_partitions
     )
@@ -230,14 +240,7 @@ def run_durable_storm(
     report.victim_digests = victim.digests()
     report.control_combined = control.combined_digest()
     report.victim_combined = victim.combined_digest()
-
-    report.wal_appended = sum(w.wal.appended for w in victim.workers)
-    report.wal_bytes = sum(w.wal.bytes_written for w in victim.workers)
-    report.wal_segments = sum(w.wal.segments_opened for w in victim.workers)
-    report.wal_fsyncs = sum(w.wal.fsyncs for w in victim.workers)
-    report.snapshots_written = sum(
-        w.snapshots.writes for w in victim.workers
-    )
+    _tally_disk(report, victim)
     control.close()
     victim.close()
     bus.close()
@@ -250,7 +253,6 @@ def run_durable_storm(
         config.partitions,
         config=DetectorConfig(min_total_checkins=SCENARIO_MIN_TOTAL_CHECKINS),
         metrics=metrics,
-        tracer=tracer,
     )
     report.cold_combined = PartitionedDetectorPipeline.combine(
         report.cold_digests
@@ -259,13 +261,7 @@ def run_durable_storm(
     return report
 
 
-def write_durable_tree(
-    config: DurableConfig,
-    out_dir,
-    metrics: Optional[MetricsRegistry] = None,
-    log: Optional[LogHub] = None,
-    tracer: Optional[Tracer] = None,
-) -> DurableReport:
+def write_durable_tree(config: DurableConfig, out_dir) -> DurableReport:
     """Clean run persisting WAL + snapshots + manifest under ``out_dir``."""
     report = DurableReport(config=config)
     started = time.perf_counter()
@@ -273,37 +269,19 @@ def write_durable_tree(
 
     from repro.lbsn.service import LbsnService
 
-    service = LbsnService(metrics=metrics, log=log)
-    bus = EventBus(metrics=metrics, log=log)
+    service = LbsnService()
+    bus = EventBus()
     service.event_bus = bus
-    pipeline = _build_pipeline(
-        config, out, metrics=metrics, log=log, tracer=tracer
-    ).attach(bus)
+    pipeline = _build_pipeline(config, out).attach(bus)
     world = build_world(scale=config.scale, seed=config.seed, service=service)
-    for user_id, venue, timestamp in storm_schedule(world, config.checkins):
-        report.checkins_attempted += 1
-        trace = TraceContext.mint()
-        with use_trace(trace):
-            service.check_in(
-                user_id, venue.venue_id, venue.location,
-                timestamp=timestamp, trace=trace,
-            )
-        report.checkins_returned += 1
+    _drive_storm(service, world, report)
 
     report.events_published = bus.published
     report.watermark = service.event_watermark()
     pipeline.snapshot_all()
-    report.snapshots_written = sum(
-        w.snapshots.writes for w in pipeline.workers
-    )
     report.victim_digests = pipeline.digests()
     report.victim_combined = pipeline.combined_digest()
-    report.wal_appended = sum(w.wal.appended for w in pipeline.workers)
-    report.wal_bytes = sum(w.wal.bytes_written for w in pipeline.workers)
-    report.wal_segments = sum(
-        w.wal.segments_opened for w in pipeline.workers
-    )
-    report.wal_fsyncs = sum(w.wal.fsyncs for w in pipeline.workers)
+    _tally_disk(report, pipeline)
     pipeline.close()
     bus.close()
 
@@ -324,12 +302,40 @@ def write_durable_tree(
     return report
 
 
-def replay_durable_tree(
-    tree_dir,
-    metrics: Optional[MetricsRegistry] = None,
-    tracer: Optional[Tracer] = None,
-) -> dict:
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _read_manifest(path: Path) -> dict:
+    """The manifest as a checked dict; raises :class:`DurableTreeError`."""
+    try:
+        manifest = json.loads(path.read_text())
+    except (OSError, ValueError) as exc:
+        raise DurableTreeError(f"{path.name}: unreadable ({exc})") from exc
+    if not isinstance(manifest, dict):
+        raise DurableTreeError(f"{path.name}: not a JSON object")
+    partitions = manifest.get("partitions")
+    if not _is_count(partitions) or partitions < 1:
+        raise DurableTreeError(
+            f"{path.name}: partitions must be an int >= 1, "
+            f"not {partitions!r}"
+        )
+    bar = manifest.get("detector_min_total_checkins")
+    if bar is not None and not _is_count(bar):
+        raise DurableTreeError(
+            f"{path.name}: detector_min_total_checkins must be an int, "
+            f"not {bar!r}"
+        )
+    return manifest
+
+
+def replay_durable_tree(tree_dir) -> dict:
     """Cold-replay an existing tree; returns replay + manifest findings.
+
+    The manifest and the ``partition-NN/`` layout are outside input: a
+    malformed manifest or a missing partition directory raises
+    :class:`DurableTreeError` before any worker is built, so a refused
+    tree is left exactly as it was.
 
     The result dict carries ``digests``/``combined_digest`` from the
     replay and, when a manifest is present, ``manifest`` plus
@@ -340,7 +346,7 @@ def replay_durable_tree(
     manifest = None
     manifest_path = tree / MANIFEST_NAME
     if manifest_path.is_file():
-        manifest = json.loads(manifest_path.read_text())
+        manifest = _read_manifest(manifest_path)
     # Every writer scores with the scenario bar; an older manifest may
     # omit it and a tree may have none, so fall back to the same bar.
     bar = SCENARIO_MIN_TOTAL_CHECKINS
@@ -351,12 +357,22 @@ def replay_durable_tree(
         partitions = len(
             [p for p in tree.iterdir() if p.name.startswith("partition-")]
         )
+        if partitions == 0:
+            raise DurableTreeError(
+                f"{tree}: no {MANIFEST_NAME} and no partition-NN/ directories"
+            )
+    missing = [
+        f"partition-{partition:02d}"
+        for partition in range(partitions)
+        if not (tree / f"partition-{partition:02d}").is_dir()
+    ]
+    if missing:
+        raise DurableTreeError(
+            f"{tree}: {partitions} partition(s) expected, missing "
+            + ", ".join(missing)
+        )
     digests = cold_replay_digests(
-        tree,
-        partitions,
-        config=DetectorConfig(min_total_checkins=bar),
-        metrics=metrics,
-        tracer=tracer,
+        tree, partitions, config=DetectorConfig(min_total_checkins=bar)
     )
     combined = PartitionedDetectorPipeline.combine(digests)
     result = {
@@ -374,10 +390,13 @@ def replay_durable_tree(
 
 
 __all__ = [
+    "KILL_PARTITION",
     "KILL_PROBABILITY",
+    "KILL_SEED",
     "MANIFEST_NAME",
     "DurableConfig",
     "DurableReport",
+    "DurableTreeError",
     "kill_plan",
     "replay_durable_tree",
     "run_durable_storm",

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis import detection
 from repro.analysis.detection import CheaterDetector, DetectorConfig
 from repro.crawler.database import CrawlDatabase
 from repro.crawler.parser import ParsedUser, ParsedVenue
@@ -75,8 +76,7 @@ class TestScoring:
         db = CrawlDatabase()
         seed(db, 1, 100, 50, recent_cities=10)
         db.recompute_derived()
-        config = DetectorConfig(saturating_city_count=20)
-        report = CheaterDetector(db, config).score_user(db.user(1))
+        report = CheaterDetector(db).score_user(db.user(1))
         assert report.pattern_score == pytest.approx(0.5, abs=0.15)
 
 
@@ -127,11 +127,11 @@ class TestFindSuspects:
 
 
 class TestUndetectedMayorHolders:
-    def test_finds_suspicious_mayor_farmer(self, world, crawl_db):
+    def test_finds_suspicious_mayor_farmer(self, world, crawl_db, monkeypatch):
         # §4.3: cheaters still holding mayorships are "new discoveries".
+        monkeypatch.setattr(detection, "REPORT_THRESHOLD", 0.4)
         detector = CheaterDetector(
-            crawl_db,
-            DetectorConfig(min_total_checkins=50, report_threshold=0.4),
+            crawl_db, DetectorConfig(min_total_checkins=50)
         )
         reports = detector.undetected_mayor_holders(min_mayorships=20)
         assert world.roster.mayor_farmer.user_id in {

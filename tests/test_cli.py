@@ -151,6 +151,25 @@ class TestMetricsCommand:
         for sample in histogram["samples"]:
             assert "buckets" in sample and "sum" in sample
 
+    def test_metrics_workload_crawl_is_deterministic(self):
+        """Two seeded runs crawl the same pages, thread for thread."""
+        from repro.cli import run_metrics_workload
+        from repro.obs import MetricsRegistry, registry_to_dict
+
+        families = (
+            "repro_crawler_pages_fetched_total",
+            "repro_crawler_thread_pages_total",
+        )
+        runs = []
+        for _ in range(2):
+            registry, _, _ = run_metrics_workload(
+                scale=0.0002, seed=5, registry=MetricsRegistry()
+            )
+            snapshot = registry_to_dict(registry)
+            runs.append({family: snapshot[family] for family in families})
+        assert runs[0] == runs[1]
+        assert runs[0]["repro_crawler_pages_fetched_total"]["samples"]
+
     def test_metrics_format_choices_enforced(self):
         args = build_parser().parse_args(["metrics", "--format", "json"])
         assert args.format == "json"
@@ -296,6 +315,12 @@ class TestSnapshotAndWalReplay:
         assert main(["wal-replay", "--dir", str(clone), "--verify"]) == 1
         assert "no manifest" in capsys.readouterr().err
 
+    def test_wal_replay_refuses_an_empty_tree(self, tmp_path, capsys):
+        assert main(["wal-replay", "--dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "REPLAY FAILED" in err
+        assert "no partition-NN/ directories" in err
+
     def test_wal_replay_fails_on_mid_log_corruption(
         self, tree, tmp_path, capsys
     ):
@@ -321,20 +346,56 @@ class TestSnapshotAndWalReplay:
         import json
         import shutil
 
+        from repro.durable.snapshot import SNAPSHOT_VERSION
+
         clone = tmp_path / "old-snapshot"
         shutil.copytree(tree, clone)
-        # Version 1 bodies carry the per-detector layout the factor table
-        # replaced; recovery must refuse them rather than misread them.
+        # An older body carries a layout this version no longer reads
+        # (version 2: six threshold keys in the detector config); recovery
+        # must refuse it rather than misread it.
         snapshots = clone / "partition-00" / "snapshots"
         newest = sorted(snapshots.glob("snapshot-*.json"))[-1]
         header, body = newest.read_bytes().split(b"\n", 1)
         doc = json.loads(header)
-        doc["version"] = 1
+        doc["version"] = SNAPSHOT_VERSION - 1
         newest.write_bytes(json.dumps(doc).encode() + b"\n" + body)
         assert main(["wal-replay", "--dir", str(clone)]) == 1
         err = capsys.readouterr().err
         assert "REPLAY FAILED" in err
-        assert "unsupported snapshot version 1" in err
+        assert (
+            f"unsupported snapshot version {SNAPSHOT_VERSION - 1} (want 3)"
+            in err
+        )
+
+    @pytest.mark.parametrize(
+        "manifest_text, complaint",
+        [
+            pytest.param('{"partitions": 2, "seed"', "unreadable", id="truncated"),
+            pytest.param('{"seed": 11}', "partitions", id="no-partitions"),
+            pytest.param('{"partitions": 7}', "partition-02", id="extra-partitions"),
+        ],
+    )
+    def test_wal_replay_refuses_a_bad_manifest_untouched(
+        self, tree, tmp_path, capsys, manifest_text, complaint
+    ):
+        import shutil
+
+        clone = tmp_path / "bad-manifest"
+        shutil.copytree(tree, clone)
+        (clone / "manifest.json").write_text(manifest_text)
+        before = sorted(
+            (str(path.relative_to(clone)), path.is_dir() or path.read_bytes())
+            for path in clone.rglob("*")
+        )
+        assert main(["wal-replay", "--dir", str(clone)]) == 1
+        err = capsys.readouterr().err
+        assert "REPLAY FAILED" in err
+        assert complaint in err
+        after = sorted(
+            (str(path.relative_to(clone)), path.is_dir() or path.read_bytes())
+            for path in clone.rglob("*")
+        )
+        assert after == before
 
 
 def _fake_adversary_report(catch_digest, fp_digest="fp-1"):

@@ -25,7 +25,7 @@ from repro.analysis.detection import DetectorConfig
 from repro.defense.honeypot import RULE_HONEYPOT, HoneypotRegistry
 from repro.durable.snapshot import SNAPSHOT_VERSION, SnapshotStore
 from repro.durable.wal import MAX_RECORD_BYTES, SEGMENT_MAGIC, WalReader, WalWriter
-from repro.durable.worker import DetectorWorker, RecoveryCoordinator
+from repro.durable.worker import DetectorWorker, PartitionedDetectorPipeline
 from repro.errors import FaultInjectedError
 from repro.faults import (
     FAILURE_POINTS,
@@ -411,7 +411,7 @@ ANCHORS = {
         "record-format": (SEGMENT_MAGIC.decode(), "1 MiB"),
         "snapshot-version": (f'"version": {SNAPSHOT_VERSION}',),
         "cli-verbs": ("repro snapshot", "repro wal-replay --verify"),
-        "coordinator": (RecoveryCoordinator.__name__,),
+        "coordinator": (PartitionedDetectorPipeline.recover_crashed.__name__,),
     },
     "docs/ADVERSARY.md": {
         "pin-rule": ("`RULE_HONEYPOT`",),

@@ -17,7 +17,11 @@ import shutil
 import pytest
 
 from repro.analysis.detection import DetectorConfig
-from repro.durable.worker import DetectorWorker, DurableWorkerError
+from repro.durable.worker import (
+    DetectorWorker,
+    DurableWorkerError,
+    PartitionedDetectorPipeline,
+)
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.faults.points import POINT_DURABLE_WORKER
@@ -25,6 +29,7 @@ from repro.geo.coordinates import GeoPoint
 from repro.stream import detectors
 from repro.stream.events import CheckInAccepted, CheckInFlagged
 from repro.stream.ledger import SuspicionLedger
+from repro.workload import durable as durable_workload
 from repro.workload.durable import (
     MANIFEST_NAME,
     DurableConfig,
@@ -140,6 +145,22 @@ class TestWorkerCrashSemantics:
         assert worker.digest() == control.digest()
         worker.close()
 
+    def test_pipeline_recovers_only_its_crashed_workers(self, tmp_path):
+        control = PartitionedDetectorPipeline(2, tmp_path / "c", config=CONFIG)
+        victim = PartitionedDetectorPipeline(
+            2, tmp_path / "v", config=CONFIG, faults=instant_killer()
+        )
+        for event in storm_events(40):
+            control.on_event(event)
+            victim.on_event(event)
+        assert victim.crashed_partitions() == [0]
+        assert victim.recover_crashed() == [0]
+        assert victim.crashed_partitions() == []
+        assert victim.recover_crashed() == []
+        assert victim.combined_digest() == control.combined_digest()
+        control.close()
+        victim.close()
+
     def test_bad_snapshot_cadence_rejected(self, tmp_path):
         with pytest.raises(DurableWorkerError):
             make_worker(tmp_path, snapshot_every=-1)
@@ -149,7 +170,7 @@ class TestStormParity:
     """The acceptance bar: three-way parity at N=1 AND N=4."""
 
     def test_three_way_parity_single_partition(self, tmp_path):
-        config = DurableConfig(partitions=1, kill_partition=0)
+        config = DurableConfig(partitions=1)
         report = run_durable_storm(config, tmp_path)
         assert report.crashed_partitions == [0]
         assert report.recovered_partitions == [0]
@@ -161,10 +182,11 @@ class TestStormParity:
             f"cold={report.cold_combined}"
         )
 
-    def test_three_way_parity_four_partitions_with_snapshots(self, tmp_path):
-        config = DurableConfig(
-            partitions=4, kill_partition=2, snapshot_every=50
-        )
+    def test_three_way_parity_four_partitions_with_snapshots(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(durable_workload, "KILL_PARTITION", 2)
+        config = DurableConfig(partitions=4, snapshot_every=50)
         report = run_durable_storm(config, tmp_path)
         assert report.crashed_partitions == [2]
         assert report.recovered_partitions == [2]

@@ -137,6 +137,7 @@ class TestSnapshotStore:
         assert snapshot.seq == 119
         assert snapshot.partition == 3
         assert snapshot.version == SNAPSHOT_VERSION
+        assert snapshot.detector_config == {"min_total_checkins": 10}
         revived = snapshot.make_ledger()
         assert revived.digest() == ledger.digest()
         assert revived.config == CONFIG

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.durable import wal
 from repro.durable.wal import (
     MAX_RECORD_BYTES,
     SEGMENT_MAGIC,
@@ -158,8 +159,9 @@ class TestWriterReader:
         got = WalReader(tmp_path).read_all(after_seq=29)
         assert [event.seq for event in got] == list(range(30, 40))
 
-    def test_segment_rotation(self, tmp_path, sample_events):
-        with WalWriter(tmp_path, segment_max_bytes=600) as writer:
+    def test_segment_rotation(self, tmp_path, sample_events, monkeypatch):
+        monkeypatch.setattr(wal, "SEGMENT_MAX_BYTES", 600)
+        with WalWriter(tmp_path) as writer:
             for event in sample_events:
                 writer.append(event)
         reader = WalReader(tmp_path)
@@ -181,16 +183,13 @@ class TestWriterReader:
         assert set(before) < set(after)  # old files untouched, new added
         assert WalReader(tmp_path).read_all() == sample_events
 
-    def test_fsync_batching_knob(self, tmp_path, sample_events):
-        eager = WalWriter(tmp_path / "eager", fsync_every=1)
-        lazy = WalWriter(tmp_path / "lazy", fsync_every=0)
+    def test_fsync_batching_knob(self, tmp_path, sample_events, monkeypatch):
+        monkeypatch.setattr(wal, "FSYNC_EVERY", 1)
+        eager = WalWriter(tmp_path / "eager")
         for event in sample_events:
             eager.append(event)
-            lazy.append(event)
         eager.close()
-        lazy.close()
         assert eager.fsyncs == len(sample_events)
-        assert lazy.fsyncs == 0
 
     def test_append_after_close_raises(self, tmp_path, sample_events):
         writer = WalWriter(tmp_path)
@@ -198,18 +197,33 @@ class TestWriterReader:
         with pytest.raises(WalError):
             writer.append(sample_events[0])
 
-    def test_bad_knobs_rejected(self, tmp_path):
-        with pytest.raises(WalError):
-            WalWriter(tmp_path, segment_max_bytes=4)
-        with pytest.raises(WalError):
-            WalWriter(tmp_path, fsync_every=-1)
+    def test_oversize_record_is_refused_and_writes_nothing(
+        self, tmp_path, sample_events
+    ):
+        # The reader would call a payload over MAX_RECORD_BYTES damage:
+        # mid-log it blocks every replay, as the final record it is lost.
+        oversize = CheckInFlagged(
+            99, 99.0, user_id=1, venue_id=1,
+            venue_location=GeoPoint(40.0, -74.0),
+            reported_location=GeoPoint(40.0, -74.0),
+            rule="x" * (2 * MAX_RECORD_BYTES),
+        )
+        with WalWriter(tmp_path) as writer:
+            writer.append(sample_events[0])
+            with pytest.raises(WalError, match="MAX_RECORD_BYTES"):
+                writer.append(oversize)
+            writer.append(sample_events[1])
+        assert writer.appended == 2
+        reader = WalReader(tmp_path)
+        assert reader.read_all() == sample_events[:2]
+        assert not reader.torn_tail
 
 
 class TestCorruptionRecovery:
     """The damage matrix: where the damage sits decides the outcome."""
 
-    def _write(self, directory, events, **kwargs):
-        with WalWriter(directory, **kwargs) as writer:
+    def _write(self, directory, events):
+        with WalWriter(directory) as writer:
             for event in events:
                 writer.append(event)
 
@@ -236,13 +250,6 @@ class TestCorruptionRecovery:
         assert reader.torn_tail
         assert "header" in reader.tail_error
 
-    def test_strict_mode_promotes_tail_damage(self, tmp_path, sample_events):
-        self._write(tmp_path, sample_events)
-        path = self._last_segment(tmp_path)
-        path.write_bytes(path.read_bytes()[:-5])
-        with pytest.raises(WalCorruptionError):
-            WalReader(tmp_path).read_all(strict=True)
-
     def test_flipped_bit_rejected_by_checksum(self, tmp_path, sample_events):
         self._write(tmp_path, sample_events)
         path = self._last_segment(tmp_path)
@@ -255,8 +262,11 @@ class TestCorruptionRecovery:
         assert reader.torn_tail
         assert "checksum" in reader.tail_error
 
-    def test_mid_log_damage_always_raises(self, tmp_path, sample_events):
-        self._write(tmp_path, sample_events, segment_max_bytes=600)
+    def test_mid_log_damage_always_raises(
+        self, tmp_path, sample_events, monkeypatch
+    ):
+        monkeypatch.setattr(wal, "SEGMENT_MAX_BYTES", 600)
+        self._write(tmp_path, sample_events)
         first = sorted(tmp_path.glob("*.wal"))[0]
         raw = bytearray(first.read_bytes())
         raw[len(SEGMENT_MAGIC) + 10] ^= 0xFF

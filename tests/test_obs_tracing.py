@@ -1,4 +1,4 @@
-"""Tests for the span tracer: histograms, slow ring, exception safety."""
+"""Tests for the span tracer: histograms and the slow ring."""
 
 import pytest
 
@@ -20,8 +20,7 @@ def make_tracer(threshold=0.05, ring_size=128):
 class TestSpanRecording:
     def test_span_observes_into_the_shared_histogram(self):
         registry, tracer = make_tracer()
-        with tracer.span("checkin.commit"):
-            pass
+        tracer.record("checkin.commit", 0.001)
         family = registry.get(SPAN_HISTOGRAM_NAME)
         assert family is not None
         assert family.labels("checkin.commit").count == 1
@@ -29,25 +28,11 @@ class TestSpanRecording:
 
     def test_span_names_become_label_values(self):
         registry, tracer = make_tracer()
-        with tracer.span("crawler.fetch"):
-            pass
-        with tracer.span("store.lock"):
-            pass
+        tracer.record("crawler.fetch", 0.001)
+        tracer.record("store.lock", 0.001)
         text = registry.render_text()
         assert 'span="crawler.fetch"' in text
         assert 'span="store.lock"' in text
-
-    def test_exception_transparent_but_still_recorded(self):
-        registry, tracer = make_tracer()
-        with pytest.raises(ValueError, match="boom"):
-            with tracer.span("failing.op"):
-                raise ValueError("boom")
-        assert tracer.span_count == 1
-
-    def test_time_helper_returns_result(self):
-        _, tracer = make_tracer()
-        assert tracer.time("math.add", lambda a, b: a + b, 2, 3) == 5
-        assert tracer.span_count == 1
 
     def test_record_primitive_matches_span(self):
         registry, tracer = make_tracer()
@@ -67,20 +52,18 @@ class TestSpanRecording:
 class TestSlowRing:
     def test_fast_spans_stay_out_of_the_ring(self):
         _, tracer = make_tracer(threshold=10.0)
-        with tracer.span("quick.op"):
-            pass
+        tracer.record("quick.op", 0.001)
         assert tracer.recent_slow() == []
-        assert tracer.slowest() is None
 
     def test_slow_spans_are_retained(self):
         _, tracer = make_tracer(threshold=0.0)  # everything is "slow"
-        with tracer.span("slow.op"):
-            pass
+        tracer.record("slow.op", 0.0, trace_id="t-1")
         records = tracer.recent_slow()
         assert len(records) == 1
         assert isinstance(records[0], SpanRecord)
         assert records[0].name == "slow.op"
-        assert records[0].duration_s >= 0.0
+        assert records[0].duration_s == 0.0
+        assert records[0].trace_id == "t-1"
 
     def test_ring_is_bounded_and_keeps_newest(self):
         _, tracer = make_tracer(threshold=0.0, ring_size=4)
@@ -105,13 +88,6 @@ class TestSlowRing:
         assert tracer.recent_slow(limit=0) == []
         with pytest.raises(ValueError):
             tracer.recent_slow(limit=-1)
-
-    def test_slowest_picks_the_longest_retained(self):
-        _, tracer = make_tracer(threshold=0.0)
-        tracer.record("short.op", 0.01)
-        tracer.record("long.op", 0.2)
-        tracer.record("mid.op", 0.1)
-        assert tracer.slowest().name == "long.op"
 
     def test_threshold_is_inclusive(self):
         _, tracer = make_tracer(threshold=0.5)

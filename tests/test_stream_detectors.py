@@ -1,12 +1,19 @@
 """Tests for the incremental factor table: correctness and memory bounds.
 
-One :class:`FactorTable` keeps all three factors; the cases stay grouped
-by factor under the class names of the per-factor detectors the table
-replaced, so their node IDs are unchanged.
+One :class:`FactorTable` keeps the counts behind all three factors; the
+cases stay grouped by factor under the class names of the per-factor
+detectors the table replaced, so their node IDs are unchanged.  The score
+cases run the shared formulas of :mod:`repro.analysis.detection` on the
+table's counts, and the gates through a :class:`SuspicionLedger`.
 """
 
 import pytest
 
+from repro.analysis.detection import (
+    activity_score,
+    pattern_score,
+    reward_score,
+)
 from repro.geo.coordinates import GeoPoint
 from repro.geo.distance import destination_point
 from repro.geo.regions import US_CITIES
@@ -15,6 +22,7 @@ from repro.stream import (
     CheckInFlagged,
     FactorTable,
     LruStateMap,
+    SuspicionLedger,
     UserRegistered,
 )
 from repro.stream import detectors
@@ -114,8 +122,9 @@ class TestActivityRateDetector:
         for venue in range(8):
             table.on_event(accepted(1, venue, ts=float(venue)))
         # 8 recent / 8 total = 1.0 ratio; saturates at ratio 0.8.
-        assert table.activity_score(1, saturating_ratio=0.8) == 1.0
-        assert table.activity_score(99, saturating_ratio=0.8) == 0.0
+        assert activity_score(*table.totals(1)) == 1.0
+        assert activity_score(2, 5) == 0.5
+        assert SuspicionLedger().score_user(99).activity_score == 0.0
 
     def test_user_lru_bound(self, monkeypatch):
         monkeypatch.setattr(detectors, "MAX_USERS", 16)
@@ -151,23 +160,18 @@ class TestRewardRateDetector:
         # 200 valid check-ins, zero badges: maximal shortfall.
         for i in range(200):
             table.on_event(accepted(1, i, ts=float(i)))
-        score = table.reward_score(
-            1, expected_badges_per_100=8.0, badge_ceiling=90.0
-        )
-        assert score == 1.0
+        state = table.users.get(1)
+        assert reward_score(state.total, state.badges) == 1.0
 
     def test_well_rewarded_user_scores_zero(self):
         table = FactorTable()
         for i in range(10):
             table.on_event(accepted(1, i, ts=float(i), badges=1))
-        score = table.reward_score(
-            1, expected_badges_per_100=8.0, badge_ceiling=90.0
-        )
-        assert score == 0.0
+        state = table.users.get(1)
+        assert reward_score(state.total, state.badges) == 0.0
 
     def test_unknown_user_scores_zero(self):
-        table = FactorTable()
-        assert table.reward_score(7, 8.0, 90.0) == 0.0
+        assert SuspicionLedger().score_user(7).reward_score == 0.0
 
 
 class TestGeoDispersionDetector:
@@ -187,13 +191,14 @@ class TestGeoDispersionDetector:
         assert table.city_count(1) == 12
 
     def test_pattern_score_gated_on_min_points(self):
-        table = FactorTable()
+        ledger = SuspicionLedger()
         assert detectors.MIN_PATTERN_POINTS == 5
         for i, city in enumerate(US_CITIES[:4]):
-            table.on_event(accepted(1, i, ts=float(i), where=city.center))
-        assert table.pattern_score(1, saturating_city_count=20) == 0.0
-        table.on_event(accepted(1, 99, ts=99.0, where=US_CITIES[4].center))
-        assert table.pattern_score(1, saturating_city_count=20) == 0.25
+            ledger.on_event(accepted(1, i, ts=float(i), where=city.center))
+        assert ledger.score_user(1).pattern_score == 0.0
+        ledger.on_event(accepted(1, 99, ts=99.0, where=US_CITIES[4].center))
+        assert ledger.score_user(1).pattern_score == 0.25
+        assert pattern_score(5) == 0.25
 
     def test_leader_cap_bounds_memory(self, monkeypatch):
         monkeypatch.setattr(detectors, "MAX_CITY_LEADERS", 8)

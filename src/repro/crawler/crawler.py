@@ -183,11 +183,14 @@ class MultiThreadedCrawler:
 
     def _worker(self, fetcher: PageFetcher, thread_label: str = "m0.t0") -> None:
         mode = self.mode.value
-        thread_pages = (
-            self._thread_pages_metric.labels(mode, thread_label)
-            if self._thread_pages_metric is not None
-            else None
-        )
+        # Children are bound once per thread: ``labels()`` takes the
+        # family lock, and a per-page call there convoys the crawl threads.
+        if self._pages_metric is not None:
+            thread_pages = self._thread_pages_metric.labels(mode, thread_label)
+            hit_pages = self._pages_metric.labels(mode, "hit")
+            miss_pages = self._pages_metric.labels(mode, "miss")
+        else:
+            thread_pages = hit_pages = miss_pages = None
         while True:
             if self._aborted:
                 return
@@ -209,8 +212,8 @@ class MultiThreadedCrawler:
                 with self._lock:
                     self._stats.pages_fetched += 1
                     self._stats.misses += 1
-                if self._pages_metric is not None:
-                    self._pages_metric.labels(mode, "miss").inc()
+                if miss_pages is not None:
+                    miss_pages.inc()
                 continue
             try:
                 self._store(body)
@@ -224,8 +227,8 @@ class MultiThreadedCrawler:
                 self._stats.pages_fetched += 1
                 self._stats.hits += 1
                 self._consecutive_failures = 0
-            if self._pages_metric is not None:
-                self._pages_metric.labels(mode, "hit").inc()
+            if hit_pages is not None:
+                hit_pages.inc()
 
     def _store(self, body: str) -> None:
         if self.mode is CrawlMode.USER:

@@ -95,10 +95,13 @@ class CrawlDatabase:
 
     def upsert_user(self, parsed: ParsedUser) -> UserInfoRow:
         """Insert or refresh a UserInfo row from a parsed page."""
-        # Rows are built before taking the lock: every crawl thread takes
-        # it once per page.
+        # Every crawl thread takes the lock once per page, so whatever
+        # calls out (building rows, tuples and pair sets) runs before it:
+        # a thread switched out inside a call while holding it makes the
+        # others queue, and from then on they trade it on every page.
+        user_id = parsed.user_id
         row = UserInfoRow(
-            user_id=parsed.user_id,
+            user_id=user_id,
             user_name=parsed.username,
             display_name=parsed.display_name,
             home_city=parsed.home_city,
@@ -108,12 +111,12 @@ class CrawlDatabase:
             friend_ids=tuple(parsed.friend_ids),
         )
         with self._lock:
-            existing = self._users.get(parsed.user_id)
-            if existing is not None:
+            if user_id in self._users:
+                existing = self._users[user_id]
                 row.recent_checkins = existing.recent_checkins
                 row.total_mayors = existing.total_mayors
-            self._users[parsed.user_id] = row
-            return row
+            self._users[user_id] = row
+        return row
 
     def upsert_venue(self, parsed: ParsedVenue) -> VenueInfoRow:
         """Insert or refresh a VenueInfo row and its RecentCheckin rows."""
@@ -132,11 +135,12 @@ class CrawlDatabase:
             special_mayor_only=parsed.special_mayor_only,
         )
         visitors = tuple(parsed.recent_visitor_ids)
+        pairs = set(zip(visitors, repeat(venue_id)))
         with self._lock:
             self._venues[venue_id] = row
-            self._recent.update(zip(visitors, repeat(venue_id)))
+            self._recent |= pairs
             self._recent_lists[venue_id] = visitors
-            return row
+        return row
 
     # Derived columns -------------------------------------------------------
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import threading
 from enum import Enum
-from typing import Optional
+from typing import Optional, Set
 
 
 class CrawlMode(Enum):
@@ -49,7 +49,10 @@ class IdFrontier:
         self._stop_at = stop_at
         self._miss_threshold = miss_threshold
         self._highest_hit = start - 1
-        self._consecutive_misses_past_hit = 0
+        #: IDs past ``_highest_hit`` that 404'd.  Kept as IDs, not a
+        #: count, so that a late hit from a slower thread drops only the
+        #: misses below it; empty until the dense ID space runs out.
+        self._misses_past_hit: Set[int] = set()
         self._exhausted = False
         self._lock = threading.Lock()
 
@@ -74,14 +77,19 @@ class IdFrontier:
         with self._lock:
             if profile_id > self._highest_hit:
                 self._highest_hit = profile_id
-                self._consecutive_misses_past_hit = 0
+                if self._misses_past_hit:
+                    self._misses_past_hit = {
+                        missed
+                        for missed in self._misses_past_hit
+                        if missed > profile_id
+                    }
 
     def report_miss(self, profile_id: int) -> None:
         """Record a 404; a long run past the last hit ends the crawl."""
         with self._lock:
             if profile_id > self._highest_hit:
-                self._consecutive_misses_past_hit += 1
-                if self._consecutive_misses_past_hit >= self._miss_threshold:
+                self._misses_past_hit.add(profile_id)
+                if len(self._misses_past_hit) >= self._miss_threshold:
                     self._exhausted = True
 
     @property

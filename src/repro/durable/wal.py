@@ -373,9 +373,9 @@ class WalReader:
                     if self._metrics is not None:
                         self._metrics.torn_tails.inc()
                     return
-                if self._metrics is not None:
-                    self._metrics.replayed.inc()
                 if event.seq > after_seq:
+                    if self._metrics is not None:
+                        self._metrics.replayed.inc()
                     yield event
 
     def _scan_segment(

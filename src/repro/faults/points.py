@@ -21,8 +21,9 @@ from typing import Dict
 POINT_CRAWLER_FETCH = "crawler.fetch"
 
 #: One request through :class:`repro.simnet.http.HttpTransport` — fires
-#: as packet loss (a :class:`~repro.errors.NetworkError`), added latency,
-#: or a transport-level error response.
+#: as packet loss (a :class:`~repro.errors.NetworkError`), added latency
+#: (slept by a blocking transport only), or a transport-level error
+#: response.
 POINT_SIMNET_REQUEST = "simnet.request"
 
 #: One event delivery to one :class:`repro.stream.bus.EventBus`
@@ -56,7 +57,8 @@ FAILURE_POINTS: Dict[str, str] = {
         "One crawler page fetch: fetch errors or slow responses."
     ),
     POINT_SIMNET_REQUEST: (
-        "One simulated HTTP request: loss (NetworkError) or latency shaping."
+        "One simulated HTTP request: loss (NetworkError) or latency "
+        "shaping, slept only on a blocking transport."
     ),
     POINT_STREAM_SUBSCRIBER: (
         "One bus delivery to one subscriber (label = subscriber name): "

@@ -2,10 +2,13 @@
 
 One coarse reentrant lock guards all tables and the stream-event seq
 counter.  The crawler hammers the web server from many threads while the
-attack campaign checks in concurrently, so every public method takes the
-lock.  Multi-step work is composed one level up: the service runs its
-whole check-in pipeline under ``LbsnService._lock`` and commits each
-check-in with one :meth:`DataStore.add_checkin_committed` call.
+attack campaign checks in concurrently, so every writer and every scan
+takes the lock; the point reads (:meth:`DataStore.get_user`,
+:meth:`~DataStore.get_venue`, :meth:`~DataStore.get_user_by_username`)
+are one dict lookup each and take none.  Multi-step work is composed one
+level up: the service runs its whole check-in pipeline under
+``LbsnService._lock`` and commits each check-in with one
+:meth:`DataStore.add_checkin_committed` call.
 """
 
 from __future__ import annotations
@@ -33,8 +36,8 @@ class DataStore:
     hold times (``repro_store_lock_hold_seconds``) for
     :meth:`add_checkin_committed`, the one place the lock is held across
     multi-step work.  Fine-grained getters are deliberately not timed:
-    their hold time is one dict lookup, and per-call timers there would
-    cost more than the work they measure.
+    each is one dict lookup, and per-call timers there would cost more
+    than the work they measure.
 
     Stream-event sequence numbers come from one counter read and written
     only under the store lock, so event sequence == commit sequence and
@@ -99,25 +102,26 @@ class DataStore:
         with self._lock:
             if user.user_id in self._users:
                 raise ServiceError(f"duplicate user id {user.user_id}")
-            if user.username is not None:
-                if user.username in self._usernames:
-                    raise ServiceError(f"duplicate username {user.username!r}")
-                self._usernames[user.username] = user.user_id
+            if user.username is not None and user.username in self._usernames:
+                raise ServiceError(f"duplicate username {user.username!r}")
+            # The row goes in before the username index: the point reads
+            # below take no lock, and a name must never resolve to an id
+            # whose row is not there yet.
             self._users[user.user_id] = user
+            if user.username is not None:
+                self._usernames[user.username] = user.user_id
             if self._gauge_users is not None:
                 self._gauge_users.inc()
             return user
 
     def get_user(self, user_id: int) -> Optional[User]:
-        """User by numeric ID, or None."""
-        with self._lock:
-            return self._users.get(user_id)
+        """User by numeric ID, or None.  Lock-free: one dict lookup."""
+        return self._users.get(user_id)
 
     def get_user_by_username(self, username: str) -> Optional[User]:
         """User by username (the second URL form in §3.2), or None."""
-        with self._lock:
-            user_id = self._usernames.get(username)
-            return None if user_id is None else self._users.get(user_id)
+        user_id = self._usernames.get(username)
+        return None if user_id is None else self._users.get(user_id)
 
     def require_user(self, user_id: int) -> User:
         """User by ID, raising :class:`ServiceError` when missing."""
@@ -150,9 +154,8 @@ class DataStore:
             return venue
 
     def get_venue(self, venue_id: int) -> Optional[Venue]:
-        """Venue by numeric ID, or None."""
-        with self._lock:
-            return self._venues.get(venue_id)
+        """Venue by numeric ID, or None.  Lock-free: one dict lookup."""
+        return self._venues.get(venue_id)
 
     def require_venue(self, venue_id: int) -> Venue:
         """Venue by ID, raising :class:`ServiceError` when missing."""

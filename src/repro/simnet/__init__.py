@@ -19,7 +19,6 @@ from repro.simnet.http import (
     HttpResponse,
     HttpTransport,
     Router,
-    TransportStats,
 )
 from repro.simnet.ids import IdExhaustedError, SequentialIdAllocator
 from repro.simnet.network import (
@@ -49,7 +48,6 @@ __all__ = [
     "HttpResponse",
     "HttpTransport",
     "Router",
-    "TransportStats",
     "IdExhaustedError",
     "SequentialIdAllocator",
     "Egress",

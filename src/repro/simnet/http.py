@@ -4,14 +4,14 @@ The crawler in §3.2 "sent HTTP Get to this URL and got the HTML source code
 from the server's response".  We reproduce that boundary faithfully: the web
 server renders real HTML strings, the crawler issues :class:`HttpRequest`
 objects through a :class:`HttpTransport`, and everything in between (status
-codes, middleware such as the crawl-control defense, latency accounting) is
-observable.
+codes, middleware such as the crawl-control defense, injected faults) is
+observable.  A blocking transport sleeps each request's sampled round-trip;
+a non-blocking one charges no latency at all.
 """
 
 from __future__ import annotations
 
 import re
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Pattern, Tuple
@@ -101,23 +101,6 @@ class Router:
         return HttpResponse(status=HTTP_NOT_FOUND, body="Not Found")
 
 
-@dataclass
-class TransportStats:
-    """Counters the E2 crawler bench reads off the wire."""
-
-    requests: int = 0
-    responses_by_status: Dict[int, int] = field(default_factory=dict)
-    total_latency_s: float = 0.0
-
-    def record(self, status: int, latency_s: float) -> None:
-        """Tally one response."""
-        self.requests += 1
-        self.responses_by_status[status] = (
-            self.responses_by_status.get(status, 0) + 1
-        )
-        self.total_latency_s += latency_s
-
-
 class HttpTransport:
     """Connects clients to a :class:`Router` through the simulated network.
 
@@ -138,11 +121,9 @@ class HttpTransport:
         self._network = network
         self._clock = clock
         self._middleware: List[Middleware] = []
-        self._stats = TransportStats()
-        self._lock = threading.Lock()
         #: Optional fault injector consulted once per request at
-        #: ``simnet.request``: LATENCY faults add to the sampled
-        #: round-trip, ERROR faults raise (``spec.error`` or
+        #: ``simnet.request``: LATENCY faults add to the round-trip a
+        #: blocking transport sleeps, ERROR faults raise (``spec.error`` or
         #: :class:`~repro.errors.NetworkError` — packet loss), HTTP
         #: faults short-circuit into a response with ``spec.status``.
         self.faults = faults
@@ -156,11 +137,6 @@ class HttpTransport:
         """Install a pre-routing hook (first installed runs first)."""
         self._middleware.append(middleware)
 
-    @property
-    def stats(self) -> TransportStats:
-        """Wire-level counters (shared object, updated in place)."""
-        return self._stats
-
     def request(
         self,
         method: str,
@@ -171,23 +147,22 @@ class HttpTransport:
     ) -> HttpResponse:
         """Issue one request through ``egress`` and return the response.
 
-        The sampled round-trip latency is charged to the simulated clock's
-        *accounting* (via stats); it does not advance the shared clock, so
-        concurrent crawler threads do not fight over global time.
+        A blocking transport sleeps a sampled round-trip, plus any
+        injected LATENCY fault, in wall time; a non-blocking one draws no
+        sample and sleeps nothing.  Neither advances the shared simulated
+        clock, so concurrent crawler threads do not fight over global time.
         """
         if egress is None:
             raise NetworkError("request needs an egress")
-        latency = self._network.latency.sample_rtt_s(egress)
+        injected_latency = 0.0
         injected: Optional[HttpResponse] = None
         if self.faults is not None:
             decision = self.faults.decide(
                 POINT_SIMNET_REQUEST, label=egress.ip.value
             )
             if decision is not None:
-                latency += decision.latency_s
+                injected_latency = decision.latency_s
                 if decision.kind is FaultKind.ERROR:
-                    with self._lock:
-                        self._stats.total_latency_s += latency
                     error = decision.spec.error or NetworkError
                     raise error(
                         f"injected network loss for {method} {path} "
@@ -199,7 +174,9 @@ class HttpTransport:
                         body=f"injected HTTP {decision.status}",
                     )
         if self.blocking:
-            time.sleep(latency)
+            time.sleep(
+                self._network.latency.sample_rtt_s(egress) + injected_latency
+            )
         timestamp = self._clock.now() if self._clock is not None else 0.0
         request = HttpRequest(
             method=method,
@@ -217,8 +194,6 @@ class HttpTransport:
                     break
         if response is None:
             response = self._router.dispatch(request)
-        with self._lock:
-            self._stats.record(response.status, latency)
         return response
 
     def get(self, path: str, egress: Egress, **kwargs) -> HttpResponse:

@@ -152,13 +152,15 @@ class LatencyModel:
             )
         self._rng = random.Random(seed)
         self._jitter = jitter_fraction
-        self._lock = threading.Lock()
 
     def sample_rtt_s(self, egress: Egress) -> float:
-        """One round-trip time sample for a request through ``egress``."""
+        """One round-trip time sample for a request through ``egress``.
+
+        Takes no lock: ``Random.uniform`` makes one ``Random.random()``
+        call, which is atomic on its own.
+        """
         base = 2.0 * egress.base_latency_s * self.KIND_MULTIPLIER[egress.kind]
-        with self._lock:
-            jitter = self._rng.uniform(-self._jitter, self._jitter)
+        jitter = self._rng.uniform(-self._jitter, self._jitter)
         return max(1e-4, base * (1.0 + jitter))
 
 

@@ -1,5 +1,7 @@
 """Unit tests for the three-table crawl database (Fig 3.3)."""
 
+import sys
+import threading
 
 from repro.crawler.database import CrawlDatabase, like_to_regex
 from repro.crawler.parser import ParsedUser, ParsedVenue
@@ -141,3 +143,92 @@ class TestQueries:
         db.upsert_venue(parsed_venue(2, mayor_id=9))
         mayorless = db.select_venues(lambda v: v.mayor_id is None)
         assert [v.venue_id for v in mayorless] == [1]
+
+
+class TestConcurrentUpserts:
+    """Upserts build their rows outside the lock; each stays atomic."""
+
+    WRITERS = 8
+    ROWS = 150
+
+    def test_parallel_upserts_under_a_busy_reader(self):
+        db = CrawlDatabase()
+        errors = []
+        writing = threading.Barrier(self.WRITERS + 1)
+        done = threading.Event()
+
+        def ids(writer):
+            base = (writer + 1) * 1_000
+            return [base + index for index in range(self.ROWS)]
+
+        def write(writer):
+            try:
+                writing.wait()
+                own = ids(writer)
+                for index, profile_id in enumerate(own):
+                    db.upsert_user(parsed_user(profile_id, total_checkins=index))
+                    db.upsert_venue(
+                        parsed_venue(
+                            profile_id,
+                            mayor_id=profile_id,
+                            recent_visitor_ids=(
+                                profile_id, own[(index + 1) % self.ROWS]
+                            ),
+                        )
+                    )
+            except Exception as exc:  # pragma: no cover
+                errors.append(exc)
+
+        def read():
+            try:
+                writing.wait()
+                while not done.is_set():
+                    db.recompute_derived()
+                    db.recent_checkins()
+                    db.venue(1_000)
+            except Exception as exc:  # pragma: no cover
+                errors.append(exc)
+
+        writers = [
+            threading.Thread(target=write, args=(writer,))
+            for writer in range(self.WRITERS)
+        ]
+        reader = threading.Thread(target=read)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in writers + [reader]:
+                thread.start()
+            for thread in writers:
+                thread.join(30.0)
+            done.set()
+            reader.join(30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in writers + [reader])
+        assert not errors
+
+        expected_pairs = set()
+        expected_lists = {}
+        for writer in range(self.WRITERS):
+            own = ids(writer)
+            for index, profile_id in enumerate(own):
+                visitors = [profile_id, own[(index + 1) % self.ROWS]]
+                expected_lists[profile_id] = visitors
+                expected_pairs.update((visitor, profile_id) for visitor in visitors)
+        assert db.user_count() == db.venue_count() == len(expected_lists)
+        assert {row.user_id: row.total_checkins for row in db.users()} == {
+            profile_id: index
+            for writer in range(self.WRITERS)
+            for index, profile_id in enumerate(ids(writer))
+        }
+        assert {row.venue_id: row.mayor_id for row in db.venues()} == {
+            venue_id: venue_id for venue_id in expected_lists
+        }
+        assert {
+            (row.user_id, row.venue_id) for row in db.recent_checkins()
+        } == expected_pairs
+        assert db.recent_visitor_lists() == expected_lists
+        db.recompute_derived()
+        for row in db.users():
+            assert (row.recent_checkins, row.total_mayors) == (2, 1)

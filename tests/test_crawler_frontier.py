@@ -43,6 +43,23 @@ class TestExhaustion:
         assert not frontier.exhausted
         assert frontier.highest_hit == 2
 
+    def test_late_hit_keeps_misses_counted_above_it(self):
+        # Two threads: one holds ID 1 while the other 404s its way through
+        # 2-200.  The late hit on 1 must not restart the run, so the crawl
+        # probes exactly ``miss_threshold`` IDs past the last profile.
+        frontier = IdFrontier(CrawlMode.USER, miss_threshold=200)
+        assert [frontier.next_id() for _ in range(200)] == list(range(1, 201))
+        for missed in range(2, 201):
+            frontier.report_miss(missed)
+        frontier.report_hit(1)
+        assert frontier.highest_hit == 1
+        probed_past_last_profile = 199
+        while (profile_id := frontier.next_id()) is not None:
+            frontier.report_miss(profile_id)
+            probed_past_last_profile += 1
+        assert probed_past_last_profile == 200
+        assert frontier.exhausted
+
     def test_misses_below_highest_hit_ignored(self):
         # Deleted profiles inside the ID space must not end the crawl.
         frontier = IdFrontier(CrawlMode.USER, miss_threshold=2)

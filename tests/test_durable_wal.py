@@ -27,6 +27,7 @@ from repro.durable.wal import (
     encode_record,
 )
 from repro.geo.coordinates import GeoPoint
+from repro.obs.metrics import MetricsRegistry
 from repro.stream.events import (
     CheckInAccepted,
     CheckInFlagged,
@@ -158,6 +159,15 @@ class TestWriterReader:
                 writer.append(event)
         got = WalReader(tmp_path).read_all(after_seq=29)
         assert [event.seq for event in got] == list(range(30, 40))
+
+    def test_replay_counter_counts_only_yielded_events(self, tmp_path):
+        with WalWriter(tmp_path) as writer:
+            for seq in range(40):
+                writer.append(UserRegistered(seq, float(seq), user_id=seq))
+        metrics = MetricsRegistry()
+        got = WalReader(tmp_path, metrics=metrics).read_all(after_seq=29)
+        assert [event.seq for event in got] == list(range(30, 40))
+        assert metrics.get("repro_wal_replayed_events_total").value == 10
 
     def test_segment_rotation(self, tmp_path, sample_events, monkeypatch):
         monkeypatch.setattr(wal, "SEGMENT_MAX_BYTES", 600)

@@ -192,6 +192,43 @@ class TestConcurrency:
         assert len(store.checkins_at_venue(1)) == 600
 
 
+class TestLockFreePointReads:
+    def test_point_reads_never_wait_for_the_store_lock(self):
+        # Every writer holds the lock; a crawl thread's point read must
+        # not queue behind one (the two-thread crawl convoyed there).
+        store = DataStore()
+        user = store.add_user(make_user(1, username="a"))
+        venue = store.add_venue(make_venue(1))
+        held, release = threading.Event(), threading.Event()
+
+        def hold_lock():
+            with store._lock:
+                held.set()
+                release.wait(10.0)
+
+        results = []
+
+        def read():
+            results.append(store.get_user(1))
+            results.append(store.get_venue(1))
+            results.append(store.get_user_by_username("a"))
+
+        holder = threading.Thread(target=hold_lock)
+        reader = threading.Thread(target=read)
+        holder.start()
+        try:
+            assert held.wait(5.0)
+            reader.start()
+            reader.join(2.0)
+            assert not reader.is_alive(), "a point read waited for the lock"
+        finally:
+            release.set()
+            holder.join(5.0)
+            reader.join(5.0)
+        assert not holder.is_alive() and not reader.is_alive()
+        assert results == [user, venue, user]
+
+
 class TestLockHoldInstrumentation:
     """Regression: attaching metrics mid-commit must not observe garbage.
 

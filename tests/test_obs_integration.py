@@ -202,6 +202,7 @@ class TestCrawlerMetrics:
         assert pages[("user", "hit")] == user_stats.hits
         assert pages[("venue", "hit")] == venue_stats.hits
         assert pages[("user", "miss")] == user_stats.misses
+        assert pages[("venue", "miss")] == venue_stats.misses
         # The fetch histogram saw every page attempt.
         fetches = snap["repro_crawler_fetch_seconds"][()]
         assert fetches == user_stats.pages_fetched + venue_stats.pages_fetched

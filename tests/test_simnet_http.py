@@ -17,8 +17,8 @@ from repro.simnet.http import (
 from repro.simnet.network import Network
 
 
-def make_transport(blocking=False):
-    network = Network(seed=3)
+def make_transport(blocking=False, network=None):
+    network = network or Network(seed=3)
     router = Router()
     router.add(
         "GET",
@@ -125,17 +125,6 @@ class TestMiddleware:
         assert transport.get("/hello/z", egress).status == 401
 
 
-class TestStats:
-    def test_counters_accumulate(self):
-        transport, egress = make_transport()
-        transport.get("/hello/a", egress)
-        transport.get("/nope", egress)
-        assert transport.stats.requests == 2
-        assert transport.stats.responses_by_status[HTTP_OK] == 1
-        assert transport.stats.responses_by_status[HTTP_NOT_FOUND] == 1
-        assert transport.stats.total_latency_s > 0.0
-
-
 class TestBlockingMode:
     def test_blocking_sleeps_roughly_the_latency(self):
         transport, egress = make_transport(blocking=True)
@@ -151,3 +140,31 @@ class TestBlockingMode:
         for _ in range(50):
             transport.get("/hello/a", egress)
         assert time.perf_counter() - started < 0.5
+
+
+class TestLatencySampling:
+    """Only a blocking transport draws a round-trip sample, and it sleeps it."""
+
+    def test_non_blocking_draws_no_sample(self, monkeypatch):
+        network = Network(seed=3)
+
+        def no_draw(egress):
+            raise AssertionError("a non-blocking request drew a latency sample")
+
+        monkeypatch.setattr(network.latency, "sample_rtt_s", no_draw)
+        transport, egress = make_transport(blocking=False, network=network)
+        assert transport.get("/hello/a", egress).body == "hi a"
+        assert transport.get("/nope", egress).status == HTTP_NOT_FOUND
+
+    def test_blocking_draws_one_sample_per_request(self, monkeypatch):
+        network = Network(seed=3)
+        drawn = []
+
+        def tiny_rtt(egress):
+            drawn.append(egress.ip.value)
+            return 1e-4
+
+        monkeypatch.setattr(network.latency, "sample_rtt_s", tiny_rtt)
+        transport, egress = make_transport(blocking=True, network=network)
+        assert transport.get("/hello/a", egress).ok
+        assert drawn == [egress.ip.value]
